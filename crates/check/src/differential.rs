@@ -12,15 +12,15 @@
 //! anywhere.
 
 use osa_core::{
-    CoverageGraph, Granularity, GraphImpl, GreedySummarizer, IlpSummarizer, LazyGreedySummarizer,
-    LocalSearchSummarizer, Summarizer,
+    Candidates, CoverageGraph, Granularity, GraphBuildScratch, GraphImpl, GreedySummarizer,
+    IlpSummarizer, LazyGreedySummarizer, LocalSearchSummarizer, Summarizer,
 };
 use osa_datasets::{Corpus, ExtractImpl, Extractor};
 use osa_ontology::{AncestorImpl, Hierarchy, HierarchyBuilder};
 use osa_runtime::incremental::ItemArtifacts;
 use osa_runtime::{
-    item_seed, par_for_groups, par_for_pairs, render_item_summary, summarize_corpus,
-    BatchAlgorithm, BatchOptions, BatchReport, Fault, FaultPlan, ItemSummary, WorkerScratch,
+    item_seed, render_item_summary, summarize_corpus, BatchAlgorithm, BatchOptions, BatchReport,
+    Fault, FaultPlan, ItemSummary, WorkerScratch,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -503,55 +503,34 @@ fn chk_incremental_vs_rebuild(s: &Scenario) -> Result<(), String> {
     Ok(())
 }
 
-/// Build the scenario's coverage graph with every implementation.
+/// Build the scenario's coverage graph with every implementation, the
+/// naive oracle first.
 fn build_all_impls(s: &Scenario) -> Vec<(String, CoverageGraph)> {
     let inst = synth_of(s);
-    let h = &inst.hierarchy;
-    let pairs = &inst.pairs;
-    let mut graphs = Vec::new();
-    match s.granularity {
-        Granularity::Pairs => {
-            graphs.push((
-                "naive".to_owned(),
-                CoverageGraph::for_pairs_naive(h, pairs, s.eps),
-            ));
-            graphs.push((
-                "indexed".to_owned(),
-                CoverageGraph::for_pairs(h, pairs, s.eps),
-            ));
-            for jobs in JOBS_MATRIX {
-                graphs.push((
-                    format!("par(jobs={jobs})"),
-                    par_for_pairs(h, pairs, s.eps, jobs),
-                ));
-            }
-        }
-        Granularity::Sentences | Granularity::Reviews => {
-            let groups = if s.granularity == Granularity::Sentences {
-                &inst.sentence_groups
-            } else {
-                &inst.review_groups
-            };
-            graphs.push((
-                "naive".to_owned(),
-                CoverageGraph::for_groups_naive(h, pairs, groups, s.eps, s.granularity),
-            ));
-            graphs.push((
-                "indexed".to_owned(),
-                CoverageGraph::for_groups(h, pairs, groups, s.eps, s.granularity),
-            ));
-            for jobs in JOBS_MATRIX {
-                graphs.push((
-                    format!("par(jobs={jobs})"),
-                    par_for_groups(h, pairs, groups, s.eps, s.granularity, jobs),
-                ));
-            }
-        }
-    }
-    graphs
+    let groups = match s.granularity {
+        Granularity::Pairs => None,
+        Granularity::Sentences => Some(&inst.sentence_groups),
+        Granularity::Reviews => Some(&inst.review_groups),
+    };
+    let candidates = groups.map_or(Candidates::Pairs, |g| Candidates::Groups(g, s.granularity));
+    [GraphImpl::Naive, GraphImpl::Indexed]
+        .into_iter()
+        .map(|imp| {
+            let graph = CoverageGraph::build(
+                &inst.hierarchy,
+                &inst.pairs,
+                candidates,
+                s.eps,
+                imp,
+                AncestorImpl::Dense,
+                &mut GraphBuildScratch::new(),
+            );
+            (imp.name().to_owned(), graph)
+        })
+        .collect()
 }
 
-/// Naive, indexed, and parallel graph builds agree exactly.
+/// Naive and indexed graph builds agree exactly.
 fn chk_graph_impl_equality(s: &Scenario) -> Result<(), String> {
     let graphs = build_all_impls(s);
     let (ref_name, reference) = &graphs[0];

@@ -1,7 +1,10 @@
 //! The Section 4.1 initialization: the edge-weighted bipartite coverage
 //! graph shared by every algorithm and every problem variant.
 //!
-//! Two construction implementations produce identical graphs:
+//! [`CoverageGraph::build`] is the one entry point; [`Candidates`] says
+//! whether the candidates are plain pairs, weighted (compressed) pairs or
+//! groups of pairs at a granularity. Two construction implementations
+//! behind it produce identical graphs:
 //!
 //! * **Indexed** (the default, [`GraphImpl::Indexed`]) — pass 1 buckets
 //!   candidate pairs per concept into a CSR arena sorted by sentiment;
@@ -9,10 +12,9 @@
 //!   ([`osa_ontology::AncestorIndex`]) and resolves the ε-window
 //!   `[s − ε, s + ε]` with two binary searches, deduplicating candidates
 //!   through a dense epoch-stamped scratch ([`GraphBuildScratch`]).
-//!   Pass 2 is embarrassingly parallel over pair ranges: see
-//!   [`GraphBuildPlan::shard`] and [`CoverageGraph::assemble`], which
-//!   `osa-runtime` drives from a worker pool with an in-order merge so
-//!   the result is byte-identical for any worker count.
+//!   The stages are public ([`GraphBuildPlan`], [`GraphShard`],
+//!   [`CoverageGraph::assemble`]) so `osa-runtime` can cache them per
+//!   item and extend them on append instead of rebuilding.
 //! * **Naive** ([`GraphImpl::Naive`]) — the original per-pair upward BFS
 //!   plus full-bucket scan, kept as the cross-checking oracle
 //!   (`--graph-impl naive`, property tests, benchmarks).
@@ -181,10 +183,6 @@ pub struct GraphBuildPlan {
     bucket_entries: Vec<(f64, u32)>,
     /// Root distance (= concept depth) per target pair.
     root_dist: Vec<u32>,
-    /// Entry weight of the ancestor index pass 2 walks (dense closure
-    /// entries, or segment-index array elements — the
-    /// `graph.closure.entries` metric).
-    closure_entries: u64,
     /// Which ancestor index pass 2 walks per target pair.
     ancestor_impl: AncestorImpl,
 }
@@ -199,17 +197,12 @@ enum AncestorSource<'h> {
 impl GraphBuildPlan {
     /// Bucket `groups` (or, with `None`, one candidate per pair — the
     /// k-Pairs identity grouping, without materializing it) by member
-    /// concept and sort each bucket by sentiment. Uses the dense ancestor
-    /// closure; see [`new_with`](Self::new_with) for the switch.
-    pub fn new(h: &Hierarchy, pairs: &[Pair], groups: Option<&[Vec<usize>]>, eps: f64) -> Self {
-        Self::new_with(h, pairs, groups, eps, AncestorImpl::Dense)
-    }
-
-    /// [`new`](Self::new) with an explicit ancestor-index implementation.
-    /// `Segmented` plans never materialize the dense closure — the whole
-    /// build stays `O(n)` in hierarchy memory — and produce byte-identical
-    /// graphs (the `osars check` ancestor axis proves it).
-    pub fn new_with(
+    /// concept and sort each bucket by sentiment. Pass 2 walks the
+    /// `ancestor_impl` index: `Segmented` plans never materialize the
+    /// dense closure — the whole build stays `O(n)` in hierarchy memory —
+    /// and produce byte-identical graphs (the `osars check` ancestor axis
+    /// proves it).
+    pub fn new(
         h: &Hierarchy,
         pairs: &[Pair],
         groups: Option<&[Vec<usize>]>,
@@ -268,10 +261,6 @@ impl GraphBuildPlan {
             bucket_off,
             bucket_entries,
             root_dist: pairs.iter().map(|p| h.depth(p.concept)).collect(),
-            closure_entries: match ancestor_impl {
-                AncestorImpl::Dense => h.ancestor_index().entry_count() as u64,
-                AncestorImpl::Segmented => h.segment_index().entry_weight() as u64,
-            },
             ancestor_impl,
         }
     }
@@ -423,7 +412,7 @@ impl GraphBuildPlan {
     /// Build the successor plan after an **append**: `self` was built
     /// over a prefix of `pairs` (and of `groups`, when grouped), and the
     /// result is byte-identical to `GraphBuildPlan::new(h, pairs, groups,
-    /// eps)` — but only the *new* members are bucketed and each touched
+    /// eps, ancestor_impl)` — but only the *new* members are bucketed and each touched
     /// bucket is merged (old sorted run + new sorted run) instead of
     /// re-sorting every bucket from scratch.
     ///
@@ -526,7 +515,6 @@ impl GraphBuildPlan {
             bucket_off,
             bucket_entries,
             root_dist,
-            closure_entries: self.closure_entries,
             ancestor_impl: self.ancestor_impl,
         };
         (
@@ -731,32 +719,106 @@ impl GraphShard {
     }
 }
 
+/// The candidate side `U` of a [`CoverageGraph::build`] over the
+/// coverage targets `pairs`.
+#[derive(Debug, Clone, Copy)]
+pub enum Candidates<'a> {
+    /// k-Pairs Coverage: every pair is both a candidate and a target.
+    Pairs,
+    /// k-Pairs Coverage over *compressed* pairs: `weights[q]` is the
+    /// multiplicity of `pairs[q]` (see [`compress_pairs`](crate::compress_pairs)).
+    WeightedPairs(&'a [u64]),
+    /// k-Sentences/Reviews Coverage: candidate `u` is the pair set
+    /// `groups[u]` (indices into `pairs`).
+    Groups(&'a [Vec<usize>], Granularity),
+}
+
+impl<'a> Candidates<'a> {
+    fn granularity(self) -> Granularity {
+        match self {
+            Candidates::Pairs | Candidates::WeightedPairs(_) => Granularity::Pairs,
+            Candidates::Groups(_, granularity) => granularity,
+        }
+    }
+
+    /// Member pairs per candidate; `None` is the k-Pairs identity grouping.
+    fn groups(self) -> Option<&'a [Vec<usize>]> {
+        match self {
+            Candidates::Groups(groups, _) => Some(groups),
+            _ => None,
+        }
+    }
+
+    fn weights(self) -> Option<&'a [u64]> {
+        match self {
+            Candidates::WeightedPairs(weights) => Some(weights),
+            _ => None,
+        }
+    }
+}
+
 impl CoverageGraph {
+    /// The Section 4.1 initialization — the one construction every
+    /// problem variant goes through: bucket the candidates' member pairs
+    /// by concept, walk each target pair's ancestors, and connect every
+    /// bucketed candidate within `eps`. `imp` picks the indexed builder
+    /// or the naive oracle; `ancestor` picks the index the indexed
+    /// builder walks (the naive BFS needs none); `scratch` is reused
+    /// across builds (ignored by the naive builder).
+    pub fn build(
+        h: &Hierarchy,
+        pairs: &[Pair],
+        candidates: Candidates<'_>,
+        eps: f64,
+        imp: GraphImpl,
+        ancestor: AncestorImpl,
+        scratch: &mut GraphBuildScratch,
+    ) -> Self {
+        if let Some(weights) = candidates.weights() {
+            assert_eq!(pairs.len(), weights.len(), "one weight per pair");
+        }
+        match imp {
+            GraphImpl::Indexed => {
+                let plan = GraphBuildPlan::new(h, pairs, candidates.groups(), eps, ancestor);
+                let shard = plan.shard(h, pairs, 0..pairs.len(), scratch);
+                Self::assemble(
+                    &plan,
+                    candidates.granularity(),
+                    candidates.weights(),
+                    &[shard],
+                )
+            }
+            GraphImpl::Naive => Self::build_naive(h, pairs, candidates, eps),
+        }
+    }
+
+    /// [`build`](Self::build) with the default builder and ancestor index.
+    fn build_default(h: &Hierarchy, pairs: &[Pair], candidates: Candidates<'_>, eps: f64) -> Self {
+        Self::build(
+            h,
+            pairs,
+            candidates,
+            eps,
+            GraphImpl::default(),
+            AncestorImpl::default(),
+            &mut GraphBuildScratch::new(),
+        )
+    }
+
     /// Build the graph for **k-Pairs Coverage**: every pair is both a
     /// candidate and a coverage target.
     pub fn for_pairs(h: &Hierarchy, pairs: &[Pair], eps: f64) -> Self {
-        Self::for_pairs_with(
-            h,
-            pairs,
-            eps,
-            GraphImpl::default(),
-            &mut GraphBuildScratch::new(),
-        )
+        Self::build_default(h, pairs, Candidates::Pairs, eps)
     }
 
     /// Build the k-Pairs graph over *compressed* pairs: `weights[q]` is
     /// the multiplicity of `pairs[q]` (see [`compress_pairs`]). Costs are
     /// identical to the uncompressed instance, but the graph is as small
     /// as the number of distinct pairs.
+    ///
+    /// [`compress_pairs`]: crate::compress_pairs
     pub fn for_weighted_pairs(h: &Hierarchy, pairs: &[Pair], weights: &[u64], eps: f64) -> Self {
-        Self::for_weighted_pairs_with(
-            h,
-            pairs,
-            weights,
-            eps,
-            GraphImpl::default(),
-            &mut GraphBuildScratch::new(),
-        )
+        Self::build_default(h, pairs, Candidates::WeightedPairs(weights), eps)
     }
 
     /// Build the graph for **k-Reviews/Sentences Coverage**: candidate `u`
@@ -768,128 +830,12 @@ impl CoverageGraph {
         eps: f64,
         granularity: Granularity,
     ) -> Self {
-        Self::for_groups_with(
-            h,
-            pairs,
-            groups,
-            eps,
-            granularity,
-            GraphImpl::default(),
-            &mut GraphBuildScratch::new(),
-        )
+        Self::build_default(h, pairs, Candidates::Groups(groups, granularity), eps)
     }
 
-    /// [`for_pairs`](Self::for_pairs) with an explicit implementation and
-    /// a caller-owned scratch (ignored by the naive builder).
-    pub fn for_pairs_with(
-        h: &Hierarchy,
-        pairs: &[Pair],
-        eps: f64,
-        imp: GraphImpl,
-        scratch: &mut GraphBuildScratch,
-    ) -> Self {
-        Self::for_pairs_with_ancestor(h, pairs, eps, imp, AncestorImpl::Dense, scratch)
-    }
-
-    /// [`for_pairs_with`](Self::for_pairs_with) plus the ancestor-index
-    /// switch (ignored by the naive builder, whose upward BFS needs no
-    /// index at all).
-    pub fn for_pairs_with_ancestor(
-        h: &Hierarchy,
-        pairs: &[Pair],
-        eps: f64,
-        imp: GraphImpl,
-        ancestor: AncestorImpl,
-        scratch: &mut GraphBuildScratch,
-    ) -> Self {
-        match imp {
-            GraphImpl::Indexed => Self::build_indexed(
-                h,
-                pairs,
-                None,
-                eps,
-                Granularity::Pairs,
-                None,
-                ancestor,
-                scratch,
-            ),
-            GraphImpl::Naive => Self::for_pairs_naive(h, pairs, eps),
-        }
-    }
-
-    /// [`for_weighted_pairs`](Self::for_weighted_pairs) with an explicit
-    /// implementation and a caller-owned scratch.
-    pub fn for_weighted_pairs_with(
-        h: &Hierarchy,
-        pairs: &[Pair],
-        weights: &[u64],
-        eps: f64,
-        imp: GraphImpl,
-        scratch: &mut GraphBuildScratch,
-    ) -> Self {
-        Self::for_weighted_pairs_with_ancestor(
-            h,
-            pairs,
-            weights,
-            eps,
-            imp,
-            AncestorImpl::Dense,
-            scratch,
-        )
-    }
-
-    /// [`for_weighted_pairs_with`](Self::for_weighted_pairs_with) plus the
-    /// ancestor-index switch.
-    pub fn for_weighted_pairs_with_ancestor(
-        h: &Hierarchy,
-        pairs: &[Pair],
-        weights: &[u64],
-        eps: f64,
-        imp: GraphImpl,
-        ancestor: AncestorImpl,
-        scratch: &mut GraphBuildScratch,
-    ) -> Self {
-        assert_eq!(pairs.len(), weights.len(), "one weight per pair");
-        match imp {
-            GraphImpl::Indexed => Self::build_indexed(
-                h,
-                pairs,
-                None,
-                eps,
-                Granularity::Pairs,
-                Some(weights),
-                ancestor,
-                scratch,
-            ),
-            GraphImpl::Naive => Self::for_weighted_pairs_naive(h, pairs, weights, eps),
-        }
-    }
-
-    /// [`for_groups`](Self::for_groups) with an explicit implementation
-    /// and a caller-owned scratch.
-    pub fn for_groups_with(
-        h: &Hierarchy,
-        pairs: &[Pair],
-        groups: &[Vec<usize>],
-        eps: f64,
-        granularity: Granularity,
-        imp: GraphImpl,
-        scratch: &mut GraphBuildScratch,
-    ) -> Self {
-        Self::for_groups_with_ancestor(
-            h,
-            pairs,
-            groups,
-            eps,
-            granularity,
-            imp,
-            AncestorImpl::Dense,
-            scratch,
-        )
-    }
-
-    /// [`for_groups_with`](Self::for_groups_with) plus the ancestor-index
-    /// switch.
+    /// [`build`](Self::build) over groups, argument for argument. Kept
+    /// only because the standalone `benchmark/` package calls it with
+    /// this exact signature; new code calls `build`.
     #[allow(clippy::too_many_arguments)]
     pub fn for_groups_with_ancestor(
         h: &Hierarchy,
@@ -901,37 +847,8 @@ impl CoverageGraph {
         ancestor: AncestorImpl,
         scratch: &mut GraphBuildScratch,
     ) -> Self {
-        match imp {
-            GraphImpl::Indexed => Self::build_indexed(
-                h,
-                pairs,
-                Some(groups),
-                eps,
-                granularity,
-                None,
-                ancestor,
-                scratch,
-            ),
-            GraphImpl::Naive => Self::for_groups_naive(h, pairs, groups, eps, granularity),
-        }
-    }
-
-    /// Sequential indexed build: one plan, one full-range shard, one
-    /// assembly.
-    #[allow(clippy::too_many_arguments)]
-    fn build_indexed(
-        h: &Hierarchy,
-        pairs: &[Pair],
-        groups: Option<&[Vec<usize>]>,
-        eps: f64,
-        granularity: Granularity,
-        weights: Option<&[u64]>,
-        ancestor: AncestorImpl,
-        scratch: &mut GraphBuildScratch,
-    ) -> Self {
-        let plan = GraphBuildPlan::new_with(h, pairs, groups, eps, ancestor);
-        let shard = plan.shard(h, pairs, 0..pairs.len(), scratch);
-        Self::assemble(&plan, granularity, weights, &[shard])
+        let candidates = Candidates::Groups(groups, granularity);
+        Self::build(h, pairs, candidates, eps, imp, ancestor, scratch)
     }
 
     /// Merge pass-2 shards into the final graph. The shards must tile
@@ -983,7 +900,6 @@ impl CoverageGraph {
         let obs = osa_obs::global();
         obs.add("graph.builds", 1);
         obs.add("graph.edges", n_edges);
-        obs.add("graph.closure.entries", plan.closure_entries);
         obs.add("graph.window.hits", window_hits);
         obs.add("graph.sharded_items", n_pairs as u64);
         CoverageGraph {
@@ -995,52 +911,23 @@ impl CoverageGraph {
         }
     }
 
-    /// [`for_pairs`](Self::for_pairs) through the naive oracle builder.
-    pub fn for_pairs_naive(h: &Hierarchy, pairs: &[Pair], eps: f64) -> Self {
-        let groups: Vec<Vec<usize>> = (0..pairs.len()).map(|i| vec![i]).collect();
-        Self::build_naive(h, pairs, &groups, eps, Granularity::Pairs, None)
-    }
-
-    /// [`for_weighted_pairs`](Self::for_weighted_pairs) through the naive
-    /// oracle builder.
-    pub fn for_weighted_pairs_naive(
-        h: &Hierarchy,
-        pairs: &[Pair],
-        weights: &[u64],
-        eps: f64,
-    ) -> Self {
-        assert_eq!(pairs.len(), weights.len(), "one weight per pair");
-        let groups: Vec<Vec<usize>> = (0..pairs.len()).map(|i| vec![i]).collect();
-        Self::build_naive(h, pairs, &groups, eps, Granularity::Pairs, Some(weights))
-    }
-
-    /// [`for_groups`](Self::for_groups) through the naive oracle builder.
-    pub fn for_groups_naive(
-        h: &Hierarchy,
-        pairs: &[Pair],
-        groups: &[Vec<usize>],
-        eps: f64,
-        granularity: Granularity,
-    ) -> Self {
-        Self::build_naive(h, pairs, groups, eps, granularity, None)
-    }
-
     /// The original two-pass construction of Section 4.1, kept verbatim
     /// as the oracle the indexed builder is tested against: bucket
     /// candidate pairs by concept, then for each target pair walk its
     /// concept's ancestors (upward BFS) and connect every bucketed
     /// candidate within the sentiment threshold (no threshold for
     /// candidates sitting on the root concept).
-    fn build_naive(
-        h: &Hierarchy,
-        pairs: &[Pair],
-        groups: &[Vec<usize>],
-        eps: f64,
-        granularity: Granularity,
-        weights: Option<&[u64]>,
-    ) -> Self {
+    fn build_naive(h: &Hierarchy, pairs: &[Pair], candidates: Candidates<'_>, eps: f64) -> Self {
         assert!(eps >= 0.0, "sentiment threshold must be non-negative");
         let n_pairs = pairs.len();
+        let identity: Vec<Vec<usize>>;
+        let groups = match candidates.groups() {
+            Some(groups) => groups,
+            None => {
+                identity = (0..n_pairs).map(|i| vec![i]).collect();
+                &identity
+            }
+        };
         let n_cands = groups.len();
 
         // Pass 1: bucket (candidate, sentiment) by member-pair concept.
@@ -1085,7 +972,7 @@ impl CoverageGraph {
             }
         }
 
-        let pair_weight = match weights {
+        let pair_weight = match candidates.weights() {
             Some(w) => w.to_vec(),
             None => vec![1; n_pairs],
         };
@@ -1096,7 +983,7 @@ impl CoverageGraph {
             cand_edges.iter().map(|e| e.len() as u64).sum(),
         );
         CoverageGraph {
-            granularity,
+            granularity: candidates.granularity(),
             cand_edges,
             pair_edges,
             root_dist,
@@ -1343,14 +1230,52 @@ mod tests {
             .collect()
     }
 
+    /// [`CoverageGraph::build`] under every `(GraphImpl, AncestorImpl)`
+    /// combination, the naive oracle first.
+    fn build_all(
+        h: &Hierarchy,
+        pairs: &[Pair],
+        cands: Candidates<'_>,
+        eps: f64,
+    ) -> Vec<CoverageGraph> {
+        let mut scratch = GraphBuildScratch::new();
+        let mut out = vec![CoverageGraph::build(
+            h,
+            pairs,
+            cands,
+            eps,
+            GraphImpl::Naive,
+            AncestorImpl::Dense,
+            &mut scratch,
+        )];
+        for ancestor in [AncestorImpl::Dense, AncestorImpl::Segmented] {
+            out.push(CoverageGraph::build(
+                h,
+                pairs,
+                cands,
+                eps,
+                GraphImpl::Indexed,
+                ancestor,
+                &mut scratch,
+            ));
+        }
+        out
+    }
+
+    fn assert_all_equal(graphs: &[CoverageGraph], what: &str) {
+        for (i, g) in graphs.iter().enumerate().skip(1) {
+            assert_eq!(&graphs[0], g, "{what}: build #{i} differs from naive");
+        }
+    }
+
     #[test]
     fn indexed_matches_naive_for_pairs_on_dag() {
         let (h, ids) = dag();
         let pairs = dag_pairs(&ids);
         for eps in [0.0, 0.2, 0.5, 1.0, 2.0] {
-            let naive = CoverageGraph::for_pairs_naive(&h, &pairs, eps);
-            let indexed = CoverageGraph::for_pairs(&h, &pairs, eps);
-            assert_eq!(naive, indexed, "eps={eps}");
+            let graphs = build_all(&h, &pairs, Candidates::Pairs, eps);
+            assert_all_equal(&graphs, &format!("eps={eps}"));
+            assert_eq!(graphs[0], CoverageGraph::for_pairs(&h, &pairs, eps));
         }
     }
 
@@ -1358,9 +1283,12 @@ mod tests {
     fn indexed_matches_naive_for_weighted_pairs() {
         let (h, ids) = dag();
         let (unique, weights) = crate::compress_pairs(&dag_pairs(&ids));
-        let naive = CoverageGraph::for_weighted_pairs_naive(&h, &unique, &weights, 0.5);
-        let indexed = CoverageGraph::for_weighted_pairs(&h, &unique, &weights, 0.5);
-        assert_eq!(naive, indexed);
+        let graphs = build_all(&h, &unique, Candidates::WeightedPairs(&weights), 0.5);
+        assert_all_equal(&graphs, "weighted");
+        assert_eq!(
+            graphs[0],
+            CoverageGraph::for_weighted_pairs(&h, &unique, &weights, 0.5)
+        );
     }
 
     #[test]
@@ -1369,10 +1297,22 @@ mod tests {
         let pairs = dag_pairs(&ids);
         let groups = vec![vec![0, 1, 2], vec![3, 4], vec![5, 6, 7, 8, 9], vec![2, 2]];
         for gran in [Granularity::Sentences, Granularity::Reviews] {
-            let naive = CoverageGraph::for_groups_naive(&h, &pairs, &groups, 0.3, gran);
-            let indexed = CoverageGraph::for_groups(&h, &pairs, &groups, 0.3, gran);
-            assert_eq!(naive, indexed, "{gran:?}");
+            let graphs = build_all(&h, &pairs, Candidates::Groups(&groups, gran), 0.3);
+            assert_all_equal(&graphs, &format!("{gran:?}"));
+            assert_eq!(graphs[0].granularity(), gran);
+            assert_eq!(
+                graphs[0],
+                CoverageGraph::for_groups(&h, &pairs, &groups, 0.3, gran)
+            );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "one weight per pair")]
+    fn build_rejects_mismatched_weights() {
+        let (h, ids) = dag();
+        let pairs = dag_pairs(&ids);
+        let _ = build_all(&h, &pairs, Candidates::WeightedPairs(&[1, 2]), 0.5);
     }
 
     /// Assemble the full graph through the incremental append path and
@@ -1389,7 +1329,7 @@ mod tests {
     ) {
         use crate::LazyGreedySummarizer;
         let mut scratch = GraphBuildScratch::new();
-        let plan0 = GraphBuildPlan::new(h, base_pairs, base_groups, eps);
+        let plan0 = GraphBuildPlan::new(h, base_pairs, base_groups, eps, AncestorImpl::Dense);
         let shard0 = plan0.shard(h, base_pairs, 0..base_pairs.len(), &mut scratch);
         let g0 = CoverageGraph::assemble(&plan0, granularity, None, std::slice::from_ref(&shard0));
         let keys0 = LazyGreedySummarizer::initial_keys(&g0);
@@ -1399,7 +1339,7 @@ mod tests {
         let incremental =
             CoverageGraph::assemble(&plan1, granularity, None, std::slice::from_ref(&shard1));
 
-        let fresh_plan = GraphBuildPlan::new(h, pairs, groups, eps);
+        let fresh_plan = GraphBuildPlan::new(h, pairs, groups, eps, AncestorImpl::Dense);
         let fresh_shard = fresh_plan.shard(h, pairs, 0..pairs.len(), &mut scratch);
         let fresh = CoverageGraph::assemble(&fresh_plan, granularity, None, &[fresh_shard]);
         assert_eq!(incremental, fresh, "eps={eps} {granularity:?}");
@@ -1468,7 +1408,7 @@ mod tests {
         let (h, ids) = dag();
         let mut pairs = dag_pairs(&ids);
         let mut scratch = GraphBuildScratch::new();
-        let mut plan = GraphBuildPlan::new(&h, &pairs, None, 0.5);
+        let mut plan = GraphBuildPlan::new(&h, &pairs, None, 0.5, AncestorImpl::Dense);
         let mut shard = plan.shard(&h, &pairs, 0..pairs.len(), &mut scratch);
         let mut keys = crate::LazyGreedySummarizer::initial_keys(&CoverageGraph::assemble(
             &plan,
@@ -1510,7 +1450,7 @@ mod tests {
     fn shard_rows_expose_the_edge_runs() {
         let (h, ids) = dag();
         let pairs = dag_pairs(&ids);
-        let plan = GraphBuildPlan::new(&h, &pairs, None, 0.5);
+        let plan = GraphBuildPlan::new(&h, &pairs, None, 0.5, AncestorImpl::Dense);
         let shard = plan.shard(&h, &pairs, 0..pairs.len(), &mut GraphBuildScratch::new());
         let g = CoverageGraph::assemble(
             &plan,
@@ -1527,7 +1467,7 @@ mod tests {
     fn sharded_assembly_matches_single_shard() {
         let (h, ids) = dag();
         let pairs = dag_pairs(&ids);
-        let plan = GraphBuildPlan::new(&h, &pairs, None, 0.5);
+        let plan = GraphBuildPlan::new(&h, &pairs, None, 0.5, AncestorImpl::Dense);
         let mut scratch = GraphBuildScratch::new();
         let whole = plan.shard(&h, &pairs, 0..pairs.len(), &mut scratch);
         let whole = CoverageGraph::assemble(&plan, Granularity::Pairs, None, &[whole]);
@@ -1563,7 +1503,7 @@ mod tests {
     fn assemble_rejects_out_of_order_shards() {
         let (h, ids) = dag();
         let pairs = dag_pairs(&ids);
-        let plan = GraphBuildPlan::new(&h, &pairs, None, 0.5);
+        let plan = GraphBuildPlan::new(&h, &pairs, None, 0.5, AncestorImpl::Dense);
         let mut scratch = GraphBuildScratch::new();
         let s1 = plan.shard(&h, &pairs, 0..4, &mut scratch);
         let s2 = plan.shard(&h, &pairs, 4..pairs.len(), &mut scratch);
@@ -1582,13 +1522,15 @@ mod tests {
         let mut scratch = GraphBuildScratch::new();
         // Force the epoch counter through its wrap-around reset path.
         scratch.epoch = u32::MAX - 2;
+        let indexed = |h: &Hierarchy, pairs: &[Pair], eps: f64, scratch: &mut GraphBuildScratch| {
+            let (imp, anc) = (GraphImpl::Indexed, AncestorImpl::Dense);
+            CoverageGraph::build(h, pairs, Candidates::Pairs, eps, imp, anc, scratch)
+        };
         for _ in 0..8 {
-            let big =
-                CoverageGraph::for_pairs_with(&h, &pairs, 0.5, GraphImpl::Indexed, &mut scratch);
-            assert_eq!(big, CoverageGraph::for_pairs_naive(&h, &pairs, 0.5));
-            let tiny =
-                CoverageGraph::for_pairs_with(&h2, &small, 0.1, GraphImpl::Indexed, &mut scratch);
-            assert_eq!(tiny, CoverageGraph::for_pairs_naive(&h2, &small, 0.1));
+            let big = indexed(&h, &pairs, 0.5, &mut scratch);
+            assert_eq!(big, build_all(&h, &pairs, Candidates::Pairs, 0.5)[0]);
+            let tiny = indexed(&h2, &small, 0.1, &mut scratch);
+            assert_eq!(tiny, build_all(&h2, &small, Candidates::Pairs, 0.1)[0]);
         }
     }
 
@@ -1609,6 +1551,6 @@ mod tests {
         let pairs = vec![Pair::new(a, 0.5), Pair::new(c, 0.0)];
         let g = CoverageGraph::for_pairs(&h, &pairs, 0.5);
         assert_eq!(g.covered_by(0), &[(0, 0), (1, 1)]);
-        assert_eq!(g, CoverageGraph::for_pairs_naive(&h, &pairs, 0.5));
+        assert_eq!(g, build_all(&h, &pairs, Candidates::Pairs, 0.5)[0]);
     }
 }

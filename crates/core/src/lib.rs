@@ -74,7 +74,8 @@ mod summarizer;
 
 pub use exact::ExactBruteForce;
 pub use graph::{
-    CoverageGraph, Granularity, GraphBuildPlan, GraphBuildScratch, GraphImpl, GraphShard, PlanDelta,
+    Candidates, CoverageGraph, Granularity, GraphBuildPlan, GraphBuildScratch, GraphImpl,
+    GraphShard, PlanDelta,
 };
 pub use greedy::{GreedySummarizer, LazyGreedySummarizer};
 #[doc(hidden)]

@@ -101,7 +101,7 @@ impl AncestorIndex {
     }
 
     /// Total closure entries across all nodes (the index's memory weight,
-    /// published as the `graph.closure.entries` metric by `osa-core`).
+    /// published as the `graph.closure.entries` gauge by `osa-runtime`).
     pub fn entry_count(&self) -> usize {
         self.entries.len()
     }

@@ -29,15 +29,15 @@
 //! still sublinear in corpus size because only the edited item is
 //! touched.
 
+use std::borrow::Cow;
+
 use osa_core::{
     CoverageGraph, Granularity, GraphBuildPlan, GraphImpl, GraphShard, LazyGreedySummarizer,
 };
 use osa_datasets::{extract_append, extract_truncate, ExtractedItem, Extractor, Item};
 use osa_ontology::Hierarchy;
 
-use crate::{
-    finish_item_summary, item_seed, BatchAlgorithm, BatchOptions, ItemSummary, WorkerScratch,
-};
+use crate::{item_groups, summarize_item, BatchOptions, Fault, ItemSummary, WorkerScratch};
 
 /// Cached per-item pipeline state, valid for one `(item, revision)` and
 /// one graph signature (`eps`, granularity, indexed builder). Build one
@@ -58,7 +58,7 @@ pub struct ItemArtifacts {
 /// the full-range shard (per-pair edge runs), and the exact CELF
 /// initial-gain vector.
 #[derive(Debug, Clone)]
-struct GraphArtifacts {
+pub(crate) struct GraphArtifacts {
     eps: f64,
     granularity: Granularity,
     plan: GraphBuildPlan,
@@ -69,6 +69,17 @@ struct GraphArtifacts {
 impl GraphArtifacts {
     fn matches(&self, opts: &BatchOptions) -> bool {
         self.eps.to_bits() == opts.eps.to_bits() && self.granularity == opts.granularity
+    }
+
+    /// The coverage graph these artifacts describe — equal to a fresh build.
+    pub(crate) fn assemble(&self) -> CoverageGraph {
+        let shard = std::slice::from_ref(&self.shard);
+        CoverageGraph::assemble(&self.plan, self.granularity, None, shard)
+    }
+
+    /// The exact CELF initial-gain vector of [`assemble`](Self::assemble)'s graph.
+    pub(crate) fn keys(&self) -> &[u64] {
+        &self.keys
     }
 }
 
@@ -82,11 +93,7 @@ fn graph_eligible(opts: &BatchOptions) -> bool {
 }
 
 fn groups_of(ex: &ExtractedItem, granularity: Granularity) -> Vec<Vec<usize>> {
-    match granularity {
-        Granularity::Pairs => unreachable!("pairs granularity caches no graph artifacts"),
-        Granularity::Sentences => ex.sentence_groups(),
-        Granularity::Reviews => ex.review_groups(),
-    }
+    item_groups(ex, granularity).expect("pairs granularity caches no graph artifacts")
 }
 
 impl ItemArtifacts {
@@ -135,7 +142,7 @@ impl ItemArtifacts {
             return None;
         }
         let groups = groups_of(ex, opts.granularity);
-        let plan = GraphBuildPlan::new_with(
+        let plan = GraphBuildPlan::new(
             hierarchy,
             &ex.pairs,
             Some(&groups),
@@ -218,12 +225,12 @@ impl ItemArtifacts {
     }
 
     /// Summarize `item` from the cached artifacts. Byte-identical to
-    /// [`summarize_one`](crate::summarize_one) with [`Fault::None`]
-    /// (`crate::Fault::None`) for the same `(hierarchy, opts)`: the
-    /// cached extraction is the full extraction, the assembled graph
-    /// equals a fresh build, and a warm-started lazy greedy selects
-    /// exactly what a cold one does. Signatures without cached graph
-    /// artifacts rebuild the graph from the cached extraction.
+    /// [`summarize_one`](crate::summarize_one) with [`Fault::None`] for
+    /// the same `(hierarchy, opts)`: the cached extraction is the full
+    /// extraction, the assembled graph equals a fresh build, and a
+    /// warm-started lazy greedy selects exactly what a cold one does.
+    /// Signatures without cached graph artifacts rebuild the graph from
+    /// the cached extraction.
     pub fn summarize(
         &self,
         hierarchy: &Hierarchy,
@@ -238,107 +245,24 @@ impl ItemArtifacts {
             item.reviews.len(),
             "artifacts are stale: update() before summarize()"
         );
-        let obs = osa_obs::global();
-        let ex = &self.extracted;
-        // The same stage spans/timers the batch pipeline records, so
-        // traces and `Server-Timing` keep their shape when a request is
-        // answered from artifacts. "extract" measures the cache hit —
-        // near zero here by design; the real extraction cost was paid
-        // once in `build`/`update`.
-        {
-            let _tspan = trace.map(|t| t.span("extract"));
-            let _ = obs.time("extract", || {
-                if opts.granularity == Granularity::Pairs {
-                    let _ = scratch.compress_into(&ex.pairs);
-                }
-            });
-            if let Some(t) = trace {
-                t.count("extract.pairs", ex.pairs.len() as u64);
-                t.count("extract.sentences", ex.sentences.len() as u64);
-            }
-        }
-        let WorkerScratch {
-            pair_buf,
-            weight_buf,
-            graph_build,
-            ..
-        } = scratch;
-        let cached = self.graph.as_ref().filter(|g| g.matches(opts));
-        let graph = {
-            let _tspan = trace.map(|t| t.span("graph.build"));
-            let (graph, _us) = obs.time("graph.build", || match (&cached, graph_eligible(opts)) {
-                (Some(g), true) => CoverageGraph::assemble(
-                    &g.plan,
-                    opts.granularity,
-                    None,
-                    std::slice::from_ref(&g.shard),
-                ),
-                _ => match opts.granularity {
-                    Granularity::Pairs => CoverageGraph::for_weighted_pairs_with_ancestor(
-                        hierarchy,
-                        pair_buf,
-                        weight_buf,
-                        opts.eps,
-                        opts.graph_impl,
-                        opts.ancestor_impl,
-                        graph_build,
-                    ),
-                    Granularity::Sentences => CoverageGraph::for_groups_with_ancestor(
-                        hierarchy,
-                        &ex.pairs,
-                        &ex.sentence_groups(),
-                        opts.eps,
-                        Granularity::Sentences,
-                        opts.graph_impl,
-                        opts.ancestor_impl,
-                        graph_build,
-                    ),
-                    Granularity::Reviews => CoverageGraph::for_groups_with_ancestor(
-                        hierarchy,
-                        &ex.pairs,
-                        &ex.review_groups(),
-                        opts.eps,
-                        Granularity::Reviews,
-                        opts.graph_impl,
-                        opts.ancestor_impl,
-                        graph_build,
-                    ),
-                },
-            });
-            if let Some(t) = trace {
-                t.count("graph.candidates", graph.num_candidates() as u64);
-                t.count("graph.pairs", graph.num_pairs() as u64);
-            }
-            graph
-        };
-        let summary = {
-            let _tspan = trace.map(|t| t.span(opts.algorithm.span_name()));
-            let (summary, _us) = obs.time(opts.algorithm.span_name(), || {
-                match (cached, opts.algorithm) {
-                    (Some(g), BatchAlgorithm::LazyGreedy) => {
-                        LazyGreedySummarizer.summarize_seeded(&graph, opts.k, &g.keys, trace)
-                    }
-                    _ => {
-                        let alg = opts
-                            .algorithm
-                            .summarizer(item_seed(opts.corpus_seed, idx as u64));
-                        alg.summarize_traced(&graph, opts.k, trace)
-                    }
-                }
-            });
-            summary
-        };
-        finish_item_summary(
+        // The batch pipeline body, fed the cached extraction and graph
+        // state, so traces and `Server-Timing` keep their shape when a
+        // request is answered from artifacts. Its "extract" stage
+        // measures the cache hit — near zero by design; the real
+        // extraction cost was paid once in `build`/`update`.
+        let cached = self.cached_graph(opts);
+        let extract = |_: &mut _| Cow::Borrowed(&self.extracted);
+        summarize_item(
             hierarchy,
-            opts.granularity,
-            idx,
-            item,
-            ex,
-            pair_buf,
-            weight_buf,
-            &graph,
-            summary,
+            opts,
+            scratch,
+            (idx, item),
+            extract,
+            Fault::None,
+            cached,
+            trace,
         )
+        .0
     }
 
     /// Number of reviews the cached extraction covers.
@@ -354,15 +278,22 @@ impl ItemArtifacts {
     /// Whether mergeable graph artifacts are cached for `opts`'
     /// signature (and a lazy-greedy request would warm-start).
     pub fn has_graph_for(&self, opts: &BatchOptions) -> bool {
-        graph_eligible(opts) && self.graph.as_ref().is_some_and(|g| g.matches(opts))
+        self.cached_graph(opts).is_some()
+    }
+
+    /// The cached graph state, if it was built under `opts`' signature.
+    fn cached_graph(&self, opts: &BatchOptions) -> Option<&GraphArtifacts> {
+        let eligible = graph_eligible(opts);
+        self.graph.as_ref().filter(|g| eligible && g.matches(opts))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{summarize_one, Fault};
+    use crate::{summarize_one, BatchAlgorithm};
     use osa_datasets::{Corpus, CorpusConfig, Review};
+    use osa_ontology::AncestorImpl;
 
     fn corpus() -> Corpus {
         Corpus::phones(
@@ -386,13 +317,22 @@ mod tests {
             Granularity::Reviews,
         ] {
             for graph_impl in [GraphImpl::Indexed, GraphImpl::Naive] {
-                for algorithm in [BatchAlgorithm::Greedy, BatchAlgorithm::LazyGreedy] {
-                    all.push(BatchOptions {
-                        granularity,
-                        graph_impl,
-                        algorithm,
-                        ..BatchOptions::default()
-                    });
+                for ancestor_impl in [AncestorImpl::Dense, AncestorImpl::Segmented] {
+                    for algorithm in [
+                        BatchAlgorithm::Greedy,
+                        BatchAlgorithm::LazyGreedy,
+                        BatchAlgorithm::Ilp,
+                        BatchAlgorithm::RandomizedRounding,
+                        BatchAlgorithm::LocalSearch,
+                    ] {
+                        all.push(BatchOptions {
+                            granularity,
+                            graph_impl,
+                            ancestor_impl,
+                            algorithm,
+                            ..BatchOptions::default()
+                        });
+                    }
                 }
             }
         }

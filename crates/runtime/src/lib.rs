@@ -30,16 +30,17 @@ pub use fault::{
     injected_panic, quiet_injected_panics, Fault, FaultPlan, InjectedPanic, ItemFailure,
 };
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use osa_core::{
-    CoverageGraph, Granularity, GraphBuildPlan, GraphBuildScratch, GraphImpl, GraphShard,
-    GreedySummarizer, IlpSummarizer, LazyGreedySummarizer, LocalSearchSummarizer, Pair,
-    RandomizedRounding, Summarizer, Summary,
+    Candidates, CoverageGraph, Granularity, GraphBuildScratch, GraphImpl, GreedySummarizer,
+    IlpSummarizer, LazyGreedySummarizer, LocalSearchSummarizer, Pair, RandomizedRounding,
+    Summarizer, Summary,
 };
-use osa_datasets::{Corpus, ExtractImpl, Extractor};
+use osa_datasets::{Corpus, ExtractImpl, ExtractedItem, Extractor};
 use osa_eval::{LatencyHistogram, Stopwatch};
 use osa_ontology::{AncestorImpl, Hierarchy, NodeId};
 use osa_text::ExtractScratch;
@@ -63,252 +64,18 @@ pub fn effective_jobs(jobs: usize) -> usize {
     resolved.clamp(1, MAX_JOBS)
 }
 
-/// Below this many target pairs a parallel graph build runs inline: the
-/// per-pair work is tens of nanoseconds, so thread spawn + shard merge
-/// overhead dominates small instances.
-pub const PAR_BUILD_MIN_PAIRS: usize = 1024;
-
-/// Parallel [`CoverageGraph::for_pairs`]: pass 2 sharded over pair
-/// ranges, merged in order — byte-identical to the sequential (and
-/// naive) build for any `jobs`.
-pub fn par_for_pairs(h: &Hierarchy, pairs: &[Pair], eps: f64, jobs: usize) -> CoverageGraph {
-    par_build(
-        h,
-        pairs,
-        None,
-        eps,
-        Granularity::Pairs,
-        None,
-        AncestorImpl::Dense,
-        jobs,
-    )
-}
-
-/// [`par_for_pairs`] with an explicit ancestor-index implementation.
-pub fn par_for_pairs_ancestor(
-    h: &Hierarchy,
-    pairs: &[Pair],
-    eps: f64,
-    ancestor: AncestorImpl,
-    jobs: usize,
-) -> CoverageGraph {
-    par_build(
-        h,
-        pairs,
-        None,
-        eps,
-        Granularity::Pairs,
-        None,
-        ancestor,
-        jobs,
-    )
-}
-
-/// Parallel [`CoverageGraph::for_weighted_pairs`].
-pub fn par_for_weighted_pairs(
-    h: &Hierarchy,
-    pairs: &[Pair],
-    weights: &[u64],
-    eps: f64,
-    jobs: usize,
-) -> CoverageGraph {
-    assert_eq!(pairs.len(), weights.len(), "one weight per pair");
-    par_build(
-        h,
-        pairs,
-        None,
-        eps,
-        Granularity::Pairs,
-        Some(weights),
-        AncestorImpl::Dense,
-        jobs,
-    )
-}
-
-/// Parallel [`CoverageGraph::for_groups`].
-pub fn par_for_groups(
-    h: &Hierarchy,
-    pairs: &[Pair],
-    groups: &[Vec<usize>],
-    eps: f64,
-    granularity: Granularity,
-    jobs: usize,
-) -> CoverageGraph {
-    par_build(
-        h,
-        pairs,
-        Some(groups),
-        eps,
-        granularity,
-        None,
-        AncestorImpl::Dense,
-        jobs,
-    )
-}
-
-/// [`par_for_groups`] with an explicit ancestor-index implementation.
-pub fn par_for_groups_ancestor(
-    h: &Hierarchy,
-    pairs: &[Pair],
-    groups: &[Vec<usize>],
-    eps: f64,
-    granularity: Granularity,
-    ancestor: AncestorImpl,
-    jobs: usize,
-) -> CoverageGraph {
-    par_build(
-        h,
-        pairs,
-        Some(groups),
-        eps,
-        granularity,
-        None,
-        ancestor,
-        jobs,
-    )
-}
-
-/// Shared driver of the `par_for_*` builders: plan once, shard pass 2
-/// over contiguous pair ranges stolen from an atomic cursor, assemble in
-/// range order. Deliberately *not* routed through [`BatchJob`]: shard
-/// counts depend on `jobs`, and batch bookkeeping (e.g.
-/// `runtime.items.completed`) must stay jobs-invariant.
-#[allow(clippy::too_many_arguments)]
-fn par_build(
-    h: &Hierarchy,
-    pairs: &[Pair],
-    groups: Option<&[Vec<usize>]>,
-    eps: f64,
-    granularity: Granularity,
-    weights: Option<&[u64]>,
-    ancestor: AncestorImpl,
-    jobs: usize,
-) -> CoverageGraph {
-    let n = pairs.len();
-    let jobs = effective_jobs(jobs);
-    if jobs == 1 || n < PAR_BUILD_MIN_PAIRS {
-        let plan = GraphBuildPlan::new_with(h, pairs, groups, eps, ancestor);
-        let shard = plan.shard(h, pairs, 0..n, &mut GraphBuildScratch::new());
-        return CoverageGraph::assemble(&plan, granularity, weights, &[shard]);
-    }
-    // Build the index before fan-out so workers share the cached value
-    // instead of racing to compute it (OnceLock would serialize them).
-    warm_ancestor_index(h, ancestor);
-    let plan = GraphBuildPlan::new_with(h, pairs, groups, eps, ancestor);
-    // More chunks than workers smooths out skew (deep concepts, wide
-    // windows) without hurting determinism: assembly is by range order.
-    // Re-deriving `chunks` from the rounded-up `per` is load-bearing:
-    // keeping the original count would leave trailing chunks whose
-    // `c * per` start lies past `n` (e.g. n=1024, jobs=11 → 44 chunks of
-    // 24 cover only 43 chunks' worth), and such degenerate shards fail
-    // `assemble`'s tiling check.
-    let per = n.div_ceil((jobs * 4).min(n));
-    let chunks = n.div_ceil(per);
-    let shards = run_sharded::<GraphShard, GraphBuildScratch>(chunks, jobs, |scratch, c| {
-        let range = c * per..((c + 1) * per).min(n);
-        plan.shard(h, pairs, range, scratch)
-    });
-    CoverageGraph::assemble(&plan, granularity, weights, &shards)
-}
-
 /// Pre-warm the hierarchy's cached ancestor index for `ancestor` so a
 /// subsequent worker fan-out shares it instead of serializing on the
 /// `OnceLock` initialization. Only the selected index is built — a
-/// segmented run never materializes the dense closure.
+/// segmented run never materializes the dense closure. The index's size
+/// (dense closure entries, or segment-index array elements) is published
+/// once here as the `graph.closure.entries` gauge.
 pub fn warm_ancestor_index(h: &Hierarchy, ancestor: AncestorImpl) {
-    match ancestor {
-        AncestorImpl::Dense => {
-            let _ = h.ancestor_index();
-        }
-        AncestorImpl::Segmented => {
-            let _ = h.segment_index();
-        }
-    }
-}
-
-/// Run `shard_fn` over chunk indices `0..chunks` on `jobs` worker
-/// threads, each owning one scratch `C`, and return the results in chunk
-/// order.
-///
-/// Panic contract: each chunk executes under
-/// [`std::panic::catch_unwind`], so one poisoned chunk cannot tear down
-/// its worker thread — the remaining chunks are still built (possibly by
-/// other workers). After every worker has been joined, the payload of the
-/// lowest-index failed chunk (deterministic for a deterministic
-/// `shard_fn`) is re-raised **once** on the calling thread via
-/// [`std::panic::resume_unwind`], preserving the original panic message
-/// so an enclosing `catch_unwind` (the per-item isolation in
-/// [`BatchJob::run`] / [`BatchJob::run_isolated`], or the serve layer)
-/// can surface it as a per-item error instead of the process dying on a
-/// `join().expect(...)`.
-fn run_sharded<S, C>(
-    chunks: usize,
-    jobs: usize,
-    shard_fn: impl Fn(&mut C, usize) -> S + Sync,
-) -> Vec<S>
-where
-    S: Send,
-    C: Default,
-{
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<S>> = (0..chunks).map(|_| None).collect();
-    // Lowest failed chunk's panic payload, re-raised after the join loop.
-    let mut first_failure: Option<(usize, Box<dyn std::any::Any + Send>)> = None;
-    let mut note_failure = |c: usize, payload: Box<dyn std::any::Any + Send>| {
-        if first_failure.as_ref().is_none_or(|(fc, _)| c < *fc) {
-            first_failure = Some((c, payload));
-        }
+    let entries = match ancestor {
+        AncestorImpl::Dense => h.ancestor_index().entry_count(),
+        AncestorImpl::Segmented => h.segment_index().entry_weight(),
     };
-    std::thread::scope(|s| {
-        type ShardOutcome<S> = (usize, Result<S, Box<dyn std::any::Any + Send>>);
-        let handles: Vec<_> = (0..jobs)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut scratch = C::default();
-                    let mut done: Vec<ShardOutcome<S>> = Vec::new();
-                    loop {
-                        let c = next.fetch_add(1, Ordering::Relaxed);
-                        if c >= chunks {
-                            break;
-                        }
-                        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            shard_fn(&mut scratch, c)
-                        }));
-                        if caught.is_err() {
-                            // The panic may have left the scratch
-                            // mid-update; replace rather than repair.
-                            scratch = C::default();
-                        }
-                        done.push((c, caught));
-                    }
-                    done
-                })
-            })
-            .collect();
-        for hnd in handles {
-            match hnd.join() {
-                Ok(done) => {
-                    for (c, outcome) in done {
-                        match outcome {
-                            Ok(shard) => slots[c] = Some(shard),
-                            Err(payload) => note_failure(c, payload),
-                        }
-                    }
-                }
-                // A panic outside the per-chunk isolation (should be
-                // impossible: the loop body is fully wrapped). Re-raise
-                // it rather than pretend the build succeeded.
-                Err(payload) => note_failure(usize::MAX, payload),
-            }
-        }
-    });
-    if let Some((_, payload)) = first_failure {
-        std::panic::resume_unwind(payload);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every chunk was built exactly once"))
-        .collect()
+    osa_obs::global().set_gauge("graph.closure.entries", entries as i64);
 }
 
 /// Derive a per-item RNG seed from the corpus seed and the item's stable
@@ -375,23 +142,45 @@ impl WorkerScratch {
 /// let squares = BatchJob::new(&[1u64, 2, 3, 4]).jobs(2).run(|_, _, &x| x * x);
 /// assert_eq!(squares.results, vec![1, 4, 9, 16]);
 /// ```
-#[derive(Debug)]
 pub struct BatchJob<'a, T> {
     items: &'a [T],
     jobs: usize,
+    retries: u32,
+    before_attempt: Option<&'a (dyn Fn(usize, u32) + Sync)>,
 }
 
 impl<'a, T: Sync> BatchJob<'a, T> {
-    /// A batch over `items`, single-threaded until [`jobs`](Self::jobs)
-    /// says otherwise.
+    /// A batch over `items`, single-threaded and without retries until
+    /// [`jobs`](Self::jobs) and [`retries`](Self::retries) say otherwise.
     pub fn new(items: &'a [T]) -> Self {
-        BatchJob { items, jobs: 1 }
+        BatchJob {
+            items,
+            jobs: 1,
+            retries: 0,
+            before_attempt: None,
+        }
     }
 
     /// Set the worker count (`0` = all available cores). The pool never
     /// exceeds the number of items.
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs;
+        self
+    }
+
+    /// Retry a panicking item up to `retries` more times, each attempt
+    /// on a fresh scratch.
+    pub fn retries(mut self, retries: u32) -> Self {
+        self.retries = retries;
+        self
+    }
+
+    /// Call `hook(item index, attempt)` at the start of every attempt,
+    /// inside the panic isolation: a panic it raises fails that attempt
+    /// exactly as a panic in the work would. This is where
+    /// [`summarize_corpus`] injects planned faults; `attempt` is 0-based.
+    pub fn before_attempt(mut self, hook: &'a (dyn Fn(usize, u32) + Sync)) -> Self {
+        self.before_attempt = Some(hook);
         self
     }
 
@@ -402,50 +191,51 @@ impl<'a, T: Sync> BatchJob<'a, T> {
     /// `Vec<Option<_>>` is indexed by item, so scheduling cannot permute
     /// the output.
     ///
-    /// Panic contract: every `work` call executes under
+    /// Panic contract: every attempt executes under
     /// [`std::panic::catch_unwind`], so one poisoned item never tears
-    /// down the caller (or, in a daemon, the process). A panicking item
-    /// is dropped from `results`/`per_item_micros` and surfaced as an
-    /// [`ItemFailure`] (with `attempts == 1`) in
-    /// [`BatchReport::failed`] — the same shape
-    /// [`run_isolated`](Self::run_isolated) uses, minus the retries.
-    /// Like `results`, the `failed` list is jobs-invariant.
+    /// down the caller (or, in a daemon, the process). A panicking
+    /// attempt replaces the worker's scratch and, while the
+    /// [`retries`](Self::retries) budget lasts, runs the item again. An
+    /// item whose every attempt panicked is dropped from
+    /// `results`/`per_item_micros` and surfaced as an [`ItemFailure`] in
+    /// [`BatchReport::failed`]; an item that succeeded after a panic
+    /// counts in [`BatchReport::retried`]. Because the attempt sequence
+    /// of an item depends only on `work` and the hook, `results`,
+    /// `failed` and `retried` are identical for any `jobs`.
     pub fn run<R, F>(&self, work: F) -> BatchReport<R>
-    where
-        R: Send,
-        F: Fn(&mut WorkerScratch, usize, &T) -> R + Sync,
-    {
-        self.run_counted(work, true)
-    }
-
-    /// [`run`](Self::run) with control over whether the batch bumps the
-    /// `runtime.items.attempts` execution counter. `run_isolated` counts
-    /// its own per-item attempts (retries included), so its inner batch
-    /// must not also count one execution per item.
-    fn run_counted<R, F>(&self, work: F, count_attempts: bool) -> BatchReport<R>
     where
         R: Send,
         F: Fn(&mut WorkerScratch, usize, &T) -> R + Sync,
     {
         let jobs = effective_jobs(self.jobs).min(self.items.len()).max(1);
         let wall = Stopwatch::start();
-        // `Ok` carries the result and its latency; `Err` carries the
-        // panic message of a poisoned item.
-        type Slot<R> = Result<(R, f64), String>;
+        // The outcome (result and latency, or the last attempt's panic
+        // message) and the number of attempts it took.
+        type Slot<R> = (Result<(R, f64), String>, u32);
         let run_one = |scratch: &mut WorkerScratch, i: usize, item: &T| -> Slot<R> {
-            let (caught, us) = Stopwatch::time(|| {
-                std::panic::catch_unwind(AssertUnwindSafe(|| work(scratch, i, item)))
-            });
-            match caught {
-                Ok(r) => Ok((r, us)),
-                Err(payload) => {
-                    // The panic may have left the scratch caches
-                    // mid-update; they are only performance state, so
-                    // replace rather than trying to repair.
-                    *scratch = WorkerScratch::new();
-                    Err(panic_message(payload.as_ref()))
+            let mut attempt = 0u32;
+            let (outcome, us) = Stopwatch::time(|| loop {
+                let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    if let Some(hook) = self.before_attempt {
+                        hook(i, attempt);
+                    }
+                    work(scratch, i, item)
+                }));
+                match caught {
+                    Ok(r) => break Ok(r),
+                    Err(payload) => {
+                        // The panic may have left the scratch caches
+                        // mid-update; they are only performance state,
+                        // so replace rather than trying to repair.
+                        *scratch = WorkerScratch::new();
+                        if attempt >= self.retries {
+                            break Err(panic_message(payload.as_ref()));
+                        }
+                        attempt += 1;
+                    }
                 }
-            }
+            });
+            (outcome.map(|r| (r, us)), attempt + 1)
         };
         let mut slots: Vec<Option<Slot<R>>> = (0..self.items.len()).map(|_| None).collect();
         let obs = osa_obs::global();
@@ -462,7 +252,7 @@ impl<'a, T: Sync> BatchJob<'a, T> {
             let mut completed = 0usize;
             for (i, item) in self.items.iter().enumerate() {
                 let slot = run_one(&mut scratch, i, item);
-                completed += slot.is_ok() as usize;
+                completed += slot.0.is_ok() as usize;
                 slots[i] = Some(slot);
             }
             record_worker_stats(completed);
@@ -492,7 +282,7 @@ impl<'a, T: Sync> BatchJob<'a, T> {
                                 };
                                 done.push((i, run_one(&mut scratch, i, item)));
                             }
-                            record_worker_stats(done.iter().filter(|(_, s)| s.is_ok()).count());
+                            record_worker_stats(done.iter().filter(|(_, s)| s.0.is_ok()).count());
                             if steal_timing {
                                 osa_obs::global()
                                     .histogram("runtime.steal.us")
@@ -520,26 +310,29 @@ impl<'a, T: Sync> BatchJob<'a, T> {
             });
         }
 
-        let executed = slots.iter().filter(|s| s.is_some()).count();
-        if count_attempts {
-            obs.add("runtime.items.attempts", executed as u64);
-        }
         let mut results = Vec::with_capacity(slots.len());
         let mut per_item_micros = Vec::with_capacity(slots.len());
         let mut latency = LatencyHistogram::new();
         let mut failed = Vec::new();
+        let mut attempts_total = 0u64;
+        let mut retried = 0u64;
         for (i, slot) in slots.into_iter().enumerate() {
             match slot {
-                Some(Ok((r, us))) => {
+                Some((Ok((r, us)), attempts)) => {
+                    attempts_total += u64::from(attempts);
+                    retried += u64::from(attempts > 1);
                     latency.record(us);
                     per_item_micros.push(us);
                     results.push(r);
                 }
-                Some(Err(message)) => failed.push(ItemFailure {
-                    item: i,
-                    attempts: 1,
-                    message,
-                }),
+                Some((Err(message), attempts)) => {
+                    attempts_total += u64::from(attempts);
+                    failed.push(ItemFailure {
+                        item: i,
+                        attempts,
+                        message,
+                    });
+                }
                 // Claimed by a worker that died before reporting — the
                 // worker-level panic message (if any) is the best
                 // attribution available.
@@ -552,8 +345,12 @@ impl<'a, T: Sync> BatchJob<'a, T> {
                 }),
             }
         }
-        if count_attempts && !failed.is_empty() {
+        obs.add("runtime.items.attempts", attempts_total);
+        if !failed.is_empty() {
             obs.add("runtime.items.failed", failed.len() as u64);
+        }
+        if retried > 0 {
+            obs.add("runtime.items.retried", retried);
         }
         BatchReport {
             results,
@@ -562,103 +359,6 @@ impl<'a, T: Sync> BatchJob<'a, T> {
             wall_micros: wall.micros(),
             jobs,
             stages: Vec::new(),
-            failed,
-            retried: 0,
-        }
-    }
-
-    /// Like [`run`](Self::run), but each item executes under
-    /// [`std::panic::catch_unwind`] with up to `retry_limit` retries: a
-    /// panicking item is retried with a fresh scratch, and if every
-    /// attempt panics the item lands as `None` in `results` with an
-    /// [`ItemFailure`] in the report — one poisoned item degrades
-    /// gracefully instead of aborting the batch.
-    ///
-    /// `work` additionally receives the 0-based attempt number.
-    /// Determinism contract: because items are keyed by index and the
-    /// attempt sequence per item depends only on `work` itself, the
-    /// `results`/`failed`/`retried` fields are identical for any `jobs`.
-    pub fn run_isolated<R, F>(&self, retry_limit: u32, work: F) -> BatchReport<Option<R>>
-    where
-        R: Send,
-        F: Fn(&mut WorkerScratch, usize, &T, u32) -> R + Sync,
-    {
-        struct Outcome<R> {
-            item: usize,
-            result: Option<R>,
-            attempts: u32,
-            error: Option<String>,
-        }
-        let report = self.run_counted(
-            |scratch, i, item| {
-                let mut attempt = 0u32;
-                loop {
-                    let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        work(scratch, i, item, attempt)
-                    }));
-                    match caught {
-                        Ok(r) => {
-                            return Outcome {
-                                item: i,
-                                result: Some(r),
-                                attempts: attempt + 1,
-                                error: None,
-                            }
-                        }
-                        Err(payload) => {
-                            // The panic may have left the scratch caches
-                            // mid-update; they are only performance state,
-                            // so replace rather than trying to repair.
-                            *scratch = WorkerScratch::new();
-                            if attempt >= retry_limit {
-                                return Outcome {
-                                    item: i,
-                                    result: None,
-                                    attempts: attempt + 1,
-                                    error: Some(panic_message(payload.as_ref())),
-                                };
-                            }
-                            attempt += 1;
-                        }
-                    }
-                }
-            },
-            false,
-        );
-        // The inner batch can itself record failures (a panic escaping
-        // even the retry loop, or a dead worker thread); keep those and
-        // fill their result slots with `None` so `results` stays indexed
-        // by item.
-        let mut failed = report.failed;
-        let mut retried = 0u64;
-        let mut attempts_total = 0u64;
-        let mut results: Vec<Option<R>> = (0..self.items.len()).map(|_| None).collect();
-        for out in report.results {
-            attempts_total += u64::from(out.attempts);
-            if out.result.is_some() && out.attempts > 1 {
-                retried += 1;
-            }
-            if out.result.is_none() {
-                failed.push(ItemFailure {
-                    item: out.item,
-                    attempts: out.attempts,
-                    message: out.error.unwrap_or_default(),
-                });
-            }
-            results[out.item] = out.result;
-        }
-        failed.sort_by_key(|f| f.item);
-        let obs = osa_obs::global();
-        obs.add("runtime.items.attempts", attempts_total);
-        obs.add("runtime.items.failed", failed.len() as u64);
-        obs.add("runtime.items.retried", retried);
-        BatchReport {
-            results,
-            per_item_micros: report.per_item_micros,
-            latency: report.latency,
-            wall_micros: report.wall_micros,
-            jobs: report.jobs,
-            stages: report.stages,
             failed,
             retried,
         }
@@ -744,11 +444,10 @@ pub struct BatchReport<R> {
     /// Per-stage latency breakdown (empty unless the batch driver
     /// recorded stages, as [`summarize_corpus`] does).
     pub stages: Vec<StageStats>,
-    /// Items whose every attempt panicked: under
-    /// [`BatchJob::run_isolated`] after `retry_limit` retries, under
-    /// plain [`BatchJob::run`] after the single attempt. Failed items
-    /// are absent from `results`/`per_item_micros` (which stay aligned
-    /// with each other). Like `results`, jobs-invariant.
+    /// Items whose every attempt panicked (one attempt plus
+    /// [`BatchJob::retries`]). Failed items are absent from
+    /// `results`/`per_item_micros` (which stay aligned with each other).
+    /// Like `results`, jobs-invariant.
     pub failed: Vec<ItemFailure>,
     /// Items that succeeded after at least one panicking attempt.
     pub retried: u64,
@@ -956,8 +655,8 @@ pub struct BatchOptions {
     /// oracle).
     pub extract_impl: ExtractImpl,
     /// Deterministic fault injection. `None` (the default) runs the
-    /// batch on the plain fast path; `Some` routes through
-    /// [`BatchJob::run_isolated`] with panic isolation and retries.
+    /// batch without retries; `Some` injects the plan's faults and gives
+    /// every item [`retries`](Self::retries) retries.
     pub fault_plan: Option<FaultPlan>,
     /// Retry budget per item when `fault_plan` is set (attempts beyond
     /// the first).
@@ -1033,90 +732,58 @@ fn summarize_corpus_inner(
 ) -> (BatchReport<ItemSummary>, Vec<osa_obs::TraceTree>) {
     let extractor = Extractor::from_hierarchy(&corpus.hierarchy);
     let items: Vec<_> = corpus.indexed_items().collect();
-    let solve_span = opts.algorithm.span_name();
     // Warm the shared ancestor-index cache before fan-out so workers
     // don't serialize on the `OnceLock` initialization.
     warm_ancestor_index(&corpus.hierarchy, opts.ancestor_impl);
 
-    // When traced, each invocation builds a fresh request-scoped trace
-    // (id = item index) whose root span wraps the whole pipeline; a
-    // panicked attempt under fault injection simply discards its trace
-    // and the retry starts a new one.
-    let run_one = |scratch: &mut WorkerScratch,
-                   idx: usize,
-                   item: &osa_datasets::Item,
-                   fault: Fault|
-     -> (ItemSummary, [f64; 3], Option<osa_obs::TraceTree>) {
-        if traced {
-            let trace = osa_obs::Trace::new(idx as u64);
-            let (summary, times) = {
-                let _root = trace.span("summarize_one");
-                summarize_item(
-                    corpus,
-                    &extractor,
-                    opts,
-                    scratch,
-                    idx,
-                    item,
-                    fault,
-                    Some(&trace),
-                )
-            };
-            (summary, times, Some(trace.tree()))
-        } else {
-            let (summary, times) =
-                summarize_item(corpus, &extractor, opts, scratch, idx, item, fault, None);
-            (summary, times, None)
-        }
+    let fault_for = |idx: usize| {
+        opts.fault_plan
+            .map_or(Fault::None, |plan| plan.fault_for(idx))
     };
-
+    // Planned panics and delays fire at the start of an attempt; NaN
+    // corruption fires inside the pipeline, after extraction.
+    let inject = |idx: usize, attempt: u32| match fault_for(idx) {
+        Fault::Panic { failing_attempts } if attempt < failing_attempts => {
+            injected_panic(format!("injected panic (item {idx}, attempt {attempt})"))
+        }
+        Fault::Delay { micros } => std::thread::sleep(std::time::Duration::from_micros(micros)),
+        _ => {}
+    };
+    let mut job = BatchJob::new(&items).jobs(opts.jobs);
+    if opts.fault_plan.is_some() {
+        job = job.retries(opts.retries).before_attempt(&inject);
+    }
+    // When traced, each attempt builds a fresh request-scoped trace (id =
+    // item index) whose root span wraps the whole pipeline; a panicked
+    // attempt simply discards its trace and the retry starts a new one.
     // Each item reports its per-stage wall times alongside the summary;
     // they are split off below so `results` (the deterministic payload)
-    // stays timing-free while the report grows a stage table. The same
-    // timings are recorded as spans on the global `osa-obs` registry.
-    type Entry = Option<(ItemSummary, [f64; 3], Option<osa_obs::TraceTree>)>;
-    let report: BatchReport<Entry> = match opts.fault_plan {
-        None => {
-            let r = BatchJob::new(&items)
-                .jobs(opts.jobs)
-                .run(|scratch, _, &(idx, item)| run_one(scratch, idx, item, Fault::None));
-            BatchReport {
-                results: r.results.into_iter().map(Some).collect(),
-                per_item_micros: r.per_item_micros,
-                latency: r.latency,
-                wall_micros: r.wall_micros,
-                jobs: r.jobs,
-                stages: r.stages,
-                failed: r.failed,
-                retried: r.retried,
-            }
-        }
-        Some(plan) => BatchJob::new(&items).jobs(opts.jobs).run_isolated(
-            opts.retries,
-            |scratch, _, &(idx, item), attempt| {
-                let fault = plan.fault_for(idx);
-                if let Fault::Panic { failing_attempts } = fault {
-                    if attempt < failing_attempts {
-                        injected_panic(format!("injected panic (item {idx}, attempt {attempt})"));
-                    }
-                }
-                if let Fault::Delay { micros } = fault {
-                    std::thread::sleep(std::time::Duration::from_micros(micros));
-                }
-                run_one(scratch, idx, item, fault)
-            },
-        ),
-    };
+    // stays timing-free while the report grows a stage table.
+    let report = job.run(|scratch, _, &(idx, item)| {
+        let trace = traced.then(|| osa_obs::Trace::new(idx as u64));
+        let (summary, times) = {
+            let _root = trace.as_ref().map(|t| t.span("summarize_one"));
+            summarize_item(
+                &corpus.hierarchy,
+                opts,
+                scratch,
+                (idx, item),
+                |s| Cow::Owned(extractor.extract(item, opts.extract_impl, s)),
+                fault_for(idx),
+                None,
+                trace.as_ref(),
+            )
+        };
+        (summary, times, trace.map(|t| t.tree()))
+    });
 
-    let mut results = Vec::new();
-    let mut stage_times = Vec::new();
+    let mut results = Vec::with_capacity(report.results.len());
+    let mut stage_times = Vec::with_capacity(report.results.len());
     let mut trees = Vec::new();
-    for entry in report.results.into_iter().flatten() {
-        results.push(entry.0);
-        stage_times.push(entry.1);
-        if let Some(tree) = entry.2 {
-            trees.push(tree);
-        }
+    for (summary, times, tree) in report.results {
+        results.push(summary);
+        stage_times.push(times);
+        trees.extend(tree);
     }
     let stage =
         |name: &'static str, i: usize| StageStats::new(name, stage_times.iter().map(move |t| t[i]));
@@ -1130,7 +797,7 @@ fn summarize_corpus_inner(
             stages: vec![
                 stage("extract", 0),
                 stage("graph.build", 1),
-                stage(solve_span, 2),
+                stage(opts.algorithm.span_name(), 2),
             ],
             failed: report.failed,
             retried: report.retried,
@@ -1139,22 +806,19 @@ fn summarize_corpus_inner(
     )
 }
 
-/// Summarize a single corpus item with a caller-owned scratch — the
-/// per-request entry point of the `osa-serve` daemon, which keeps one
-/// [`Extractor`] and one [`WorkerScratch`] per worker thread and calls
-/// this once per `GET /summary/{item}`.
+/// Summarize a single corpus item with a caller-owned scratch: the
+/// [`summarize_corpus`] per-item pipeline (extract → optional fault →
+/// coverage graph → solve) for one item.
 ///
-/// Runs the exact [`summarize_corpus`] per-item pipeline (extract →
-/// optional fault → coverage graph → solve), so for identical
-/// `(corpus, opts)` the returned [`ItemSummary`] — and therefore
-/// [`render_item_summary`]'s text — is byte-identical to the matching
-/// block of a batch run at any `--jobs`. `opts.jobs` and
+/// For identical `(corpus, opts)` the returned [`ItemSummary`] — and
+/// therefore [`render_item_summary`]'s text — is byte-identical to the
+/// matching block of a batch run at any `--jobs`. `opts.jobs` and
 /// `opts.fault_plan` are ignored; pass `fault` explicitly (usually
 /// [`Fault::None`]).
 ///
 /// Returns `None` when `item` is out of range. Panics propagate to the
-/// caller — wrap in `catch_unwind` (as both the batch engine and the
-/// serve worker pool do) to isolate poisoned requests.
+/// caller — wrap in `catch_unwind` (as the batch engine does) to isolate
+/// poisoned items.
 pub fn summarize_one(
     corpus: &Corpus,
     extractor: &Extractor,
@@ -1163,63 +827,72 @@ pub fn summarize_one(
     item: usize,
     fault: Fault,
 ) -> Option<ItemSummary> {
-    summarize_one_traced(corpus, extractor, opts, scratch, item, fault, None)
-}
-
-/// [`summarize_one`], with the pipeline's stage spans and counters
-/// additionally recorded on `trace` (when one is provided). Each stage
-/// becomes a child span of whatever span the caller currently has open
-/// on the trace; passing `None` is exactly `summarize_one`.
-#[allow(clippy::too_many_arguments)]
-pub fn summarize_one_traced(
-    corpus: &Corpus,
-    extractor: &Extractor,
-    opts: &BatchOptions,
-    scratch: &mut WorkerScratch,
-    item: usize,
-    fault: Fault,
-    trace: Option<&osa_obs::Trace>,
-) -> Option<ItemSummary> {
     let it = corpus.items.get(item)?;
-    Some(summarize_item(corpus, extractor, opts, scratch, item, it, fault, trace).0)
+    let extract = |s: &mut ExtractScratch| Cow::Owned(extractor.extract(it, opts.extract_impl, s));
+    let (summary, _) = summarize_item(
+        &corpus.hierarchy,
+        opts,
+        scratch,
+        (item, it),
+        extract,
+        fault,
+        None,
+        None,
+    );
+    Some(summary)
 }
 
-/// The per-item pipeline body of [`summarize_corpus`]: extract → (maybe
-/// corrupt, under fault injection) → coverage graph → summarize. Returns
-/// the summary plus the three per-stage wall times in microseconds.
+/// Candidate groups of an extracted item at a group granularity; `None`
+/// at `Pairs`, whose candidates are the (compressed) pairs themselves.
+pub(crate) fn item_groups(ex: &ExtractedItem, granularity: Granularity) -> Option<Vec<Vec<usize>>> {
+    match granularity {
+        Granularity::Pairs => None,
+        Granularity::Sentences => Some(ex.sentence_groups()),
+        Granularity::Reviews => Some(ex.review_groups()),
+    }
+}
+
+/// The one per-item pipeline body, shared by the batch, per-item and
+/// artifact paths: extract → (maybe corrupt, under fault injection) →
+/// coverage graph → solve → render, each stage under its span and timer.
+///
+/// `extract` yields the item's extraction: a fresh one on the batch
+/// path, the cached one on the artifact path. `cached` carries an
+/// artifact's mergeable graph state; when present, the graph is
+/// assembled from it instead of built, and lazy greedy warm-starts from
+/// its gain keys (byte-identical to a cold run). Returns the summary
+/// plus the three per-stage wall times in microseconds.
 #[allow(clippy::too_many_arguments)]
-fn summarize_item(
-    corpus: &Corpus,
-    extractor: &Extractor,
+pub(crate) fn summarize_item<'e>(
+    hierarchy: &Hierarchy,
     opts: &BatchOptions,
     scratch: &mut WorkerScratch,
-    idx: usize,
-    item: &osa_datasets::Item,
+    (idx, item): (usize, &osa_datasets::Item),
+    extract: impl FnOnce(&mut ExtractScratch) -> Cow<'e, ExtractedItem>,
     fault: Fault,
+    cached: Option<&incremental::GraphArtifacts>,
     trace: Option<&osa_obs::Trace>,
 ) -> (ItemSummary, [f64; 3]) {
     let obs = osa_obs::global();
     let (mut ex, extract_us) = {
         let _tspan = trace.map(|t| t.span("extract"));
-        let (ex, us) = obs.time("extract", || {
-            extractor.extract(item, opts.extract_impl, &mut scratch.extract)
-        });
+        let (ex, us) = obs.time("extract", || extract(&mut scratch.extract));
         if let Some(t) = trace {
             t.count("extract.pairs", ex.pairs.len() as u64);
             t.count("extract.sentences", ex.sentences.len() as u64);
         }
         (ex, us)
     };
-    // Centralized in `Fault::apply_to_pairs` (shared with the serve
-    // path); total over zero-/single-/many-pair items. The poisoned
-    // pair is detected here, at the injection boundary, and raised as
-    // a typed injected panic — so the quiet hook can match on payload
-    // type rather than message text (the graph builder's own NaN guard
-    // stays as defense-in-depth).
-    fault.apply_to_pairs(&mut ex.pairs);
-    if matches!(fault, Fault::NanSentiment { .. }) && ex.pairs.iter().any(|p| p.sentiment.is_nan())
-    {
-        injected_panic(format!("injected NaN sentiments (item {idx})"));
+    // Centralized in `Fault::apply_to_pairs`; total over zero-/single-/
+    // many-pair items. The poisoned pair is detected here, at the
+    // injection boundary, and raised as a typed injected panic — so the
+    // quiet hook can match on payload type rather than message text (the
+    // graph builder's own NaN guard stays as defense-in-depth).
+    if let Fault::NanSentiment { .. } = fault {
+        fault.apply_to_pairs(&mut ex.to_mut().pairs);
+        if ex.pairs.iter().any(|p| p.sentiment.is_nan()) {
+            injected_panic(format!("injected NaN sentiments (item {idx})"));
+        }
     }
     if opts.granularity == Granularity::Pairs {
         // For effect only: stage the compressed pairs in the
@@ -1235,36 +908,24 @@ fn summarize_item(
     } = scratch;
     let (graph, graph_us) = {
         let _tspan = trace.map(|t| t.span("graph.build"));
-        let (graph, us) = obs.time("graph.build", || match opts.granularity {
-            Granularity::Pairs => CoverageGraph::for_weighted_pairs_with_ancestor(
-                &corpus.hierarchy,
-                pair_buf,
-                weight_buf,
+        let (graph, us) = obs.time("graph.build", || {
+            if let Some(g) = cached {
+                return g.assemble();
+            }
+            let groups = item_groups(&ex, opts.granularity);
+            let (pairs, candidates) = match &groups {
+                Some(groups) => (&ex.pairs[..], Candidates::Groups(groups, opts.granularity)),
+                None => (&pair_buf[..], Candidates::WeightedPairs(weight_buf)),
+            };
+            CoverageGraph::build(
+                hierarchy,
+                pairs,
+                candidates,
                 opts.eps,
                 opts.graph_impl,
                 opts.ancestor_impl,
                 graph_build,
-            ),
-            Granularity::Sentences => CoverageGraph::for_groups_with_ancestor(
-                &corpus.hierarchy,
-                &ex.pairs,
-                &ex.sentence_groups(),
-                opts.eps,
-                Granularity::Sentences,
-                opts.graph_impl,
-                opts.ancestor_impl,
-                graph_build,
-            ),
-            Granularity::Reviews => CoverageGraph::for_groups_with_ancestor(
-                &corpus.hierarchy,
-                &ex.pairs,
-                &ex.review_groups(),
-                opts.eps,
-                Granularity::Reviews,
-                opts.graph_impl,
-                opts.ancestor_impl,
-                graph_build,
-            ),
+            )
         });
         if let Some(t) = trace {
             t.count("graph.candidates", graph.num_candidates() as u64);
@@ -1272,18 +933,23 @@ fn summarize_item(
         }
         (graph, us)
     };
-    let alg = opts
-        .algorithm
-        .summarizer(item_seed(opts.corpus_seed, idx as u64));
     let (summary, solve_us) = {
         let _tspan = trace.map(|t| t.span(opts.algorithm.span_name()));
         obs.time(opts.algorithm.span_name(), || {
-            alg.summarize_traced(&graph, opts.k, trace)
+            match (cached, opts.algorithm) {
+                (Some(g), BatchAlgorithm::LazyGreedy) => {
+                    LazyGreedySummarizer.summarize_seeded(&graph, opts.k, g.keys(), trace)
+                }
+                _ => opts
+                    .algorithm
+                    .summarizer(item_seed(opts.corpus_seed, idx as u64))
+                    .summarize_traced(&graph, opts.k, trace),
+            }
         })
     };
     (
         finish_item_summary(
-            &corpus.hierarchy,
+            hierarchy,
             opts.granularity,
             idx,
             item,
@@ -1297,12 +963,10 @@ fn summarize_item(
     )
 }
 
-/// Render the selected candidates and assemble the [`ItemSummary`] —
-/// the shared tail of `summarize_item` and the incremental
-/// [`ItemArtifacts::summarize`](incremental::ItemArtifacts::summarize)
-/// path, so both produce byte-identical text by construction.
+/// Render the selected candidates and assemble the [`ItemSummary`]: the
+/// tail of [`summarize_item`].
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn finish_item_summary(
+fn finish_item_summary(
     hierarchy: &osa_ontology::Hierarchy,
     granularity: Granularity,
     idx: usize,
@@ -1485,109 +1149,6 @@ mod tests {
         assert!(BatchAlgorithm::from_name("nope").is_none());
     }
 
-    /// A multi-parent DAG big enough to cross [`PAR_BUILD_MIN_PAIRS`]:
-    /// root -> 8 mids (fully bipartite to) 64 leaves.
-    fn par_fixture(n_pairs: usize) -> (Hierarchy, Vec<Pair>) {
-        use osa_ontology::HierarchyBuilder;
-        let mut b = HierarchyBuilder::new();
-        let r = b.add_node("r");
-        let mids: Vec<_> = (0..8)
-            .map(|i| {
-                let m = b.add_node(&format!("m{i}"));
-                b.add_edge(r, m).unwrap();
-                m
-            })
-            .collect();
-        let leaves: Vec<_> = (0..64)
-            .map(|i| {
-                let l = b.add_node(&format!("l{i}"));
-                for &m in &mids {
-                    b.add_edge(m, l).unwrap();
-                }
-                l
-            })
-            .collect();
-        let h = b.build().unwrap();
-        let nodes: Vec<_> = mids.iter().chain(leaves.iter()).copied().collect();
-        let pairs = (0..n_pairs)
-            .map(|i| {
-                // A deterministic scatter of sentiments incl. both zeros.
-                let s = ((item_seed(3, i as u64) % 41) as f64 - 20.0) / 20.0;
-                Pair::new(nodes[i % nodes.len()], if s == 0.0 { -0.0 } else { s })
-            })
-            .collect();
-        (h, pairs)
-    }
-
-    #[test]
-    fn par_for_pairs_matches_naive_for_any_jobs() {
-        // The full 1..=32 sweep covers degenerate chunk geometries where
-        // `chunks * per` overshoots `n` (regression: jobs=11 on 1155
-        // pairs used to produce an empty shard starting past `n` and
-        // panic in `assemble`).
-        let (h, pairs) = par_fixture(PAR_BUILD_MIN_PAIRS + 131);
-        let naive = CoverageGraph::for_pairs_naive(&h, &pairs, 0.25);
-        for jobs in 1..=32 {
-            assert_eq!(par_for_pairs(&h, &pairs, 0.25, jobs), naive, "jobs={jobs}");
-        }
-    }
-
-    #[test]
-    fn par_build_handles_degenerate_chunk_geometry_at_threshold() {
-        // Exactly PAR_BUILD_MIN_PAIRS pairs with the jobs values whose
-        // naive `(jobs*4, div_ceil)` split overshoots n=1024.
-        let (h, pairs) = par_fixture(PAR_BUILD_MIN_PAIRS);
-        let naive = CoverageGraph::for_pairs_naive(&h, &pairs, 0.25);
-        for jobs in [11, 12, 14, 15, 17, 18, 19, 20] {
-            assert_eq!(par_for_pairs(&h, &pairs, 0.25, jobs), naive, "jobs={jobs}");
-        }
-    }
-
-    #[test]
-    fn par_for_weighted_pairs_matches_naive() {
-        let (h, pairs) = par_fixture(PAR_BUILD_MIN_PAIRS + 7);
-        let (unique, weights) = osa_core::compress_pairs(&pairs);
-        let naive = CoverageGraph::for_weighted_pairs_naive(&h, &unique, &weights, 0.5);
-        for jobs in [1, 3, 8, 11, 13, 17] {
-            assert_eq!(
-                par_for_weighted_pairs(&h, &unique, &weights, 0.5, jobs),
-                naive,
-                "jobs={jobs}"
-            );
-        }
-    }
-
-    #[test]
-    fn par_for_groups_matches_naive() {
-        let (h, pairs) = par_fixture(PAR_BUILD_MIN_PAIRS + 50);
-        let groups: Vec<Vec<usize>> =
-            pairs
-                .chunks(7)
-                .enumerate()
-                .fold(Vec::new(), |mut gs, (c, chunk)| {
-                    gs.push((0..chunk.len()).map(|j| c * 7 + j).collect());
-                    gs
-                });
-        for gran in [Granularity::Sentences, Granularity::Reviews] {
-            let naive = CoverageGraph::for_groups_naive(&h, &pairs, &groups, 0.3, gran);
-            for jobs in [1, 2, 8, 11, 19] {
-                assert_eq!(
-                    par_for_groups(&h, &pairs, &groups, 0.3, gran, jobs),
-                    naive,
-                    "{gran:?} jobs={jobs}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn par_build_below_threshold_stays_sequential_and_correct() {
-        let (h, pairs) = par_fixture(64);
-        assert!(pairs.len() < PAR_BUILD_MIN_PAIRS);
-        let naive = CoverageGraph::for_pairs_naive(&h, &pairs, 0.5);
-        assert_eq!(par_for_pairs(&h, &pairs, 0.5, 8), naive);
-    }
-
     #[test]
     fn batch_options_default_uses_indexed_builder() {
         assert_eq!(BatchOptions::default().graph_impl, GraphImpl::Indexed);
@@ -1617,51 +1178,54 @@ mod tests {
     }
 
     #[test]
-    fn run_isolated_contains_panics_and_retries() {
+    fn retries_contain_panics_and_recover_transients() {
         quiet_injected_panics();
         let items: Vec<usize> = (0..20).collect();
         // Item 3 always panics; item 7 panics on attempt 0 only.
+        let hook = |x: usize, attempt: u32| {
+            if x == 3 || (x == 7 && attempt == 0) {
+                panic!("injected failure on {x}");
+            }
+        };
         let report = BatchJob::new(&items)
             .jobs(4)
-            .run_isolated(1, |_, _, &x, attempt| {
-                if x == 3 || (x == 7 && attempt == 0) {
-                    panic!("injected failure on {x}");
-                }
-                x * 2
-            });
-        assert_eq!(report.results.len(), 20);
-        assert_eq!(report.results[3], None);
-        assert_eq!(report.results[7], Some(14));
+            .retries(1)
+            .before_attempt(&hook)
+            .run(|_, _, &x| x * 2);
         assert_eq!(report.retried, 1);
         assert_eq!(report.failed.len(), 1);
         assert_eq!(report.failed[0].item, 3);
         assert_eq!(report.failed[0].attempts, 2);
         assert!(report.failed[0].message.contains("injected failure on 3"));
-        for (i, r) in report.results.iter().enumerate() {
-            if i != 3 {
-                assert_eq!(*r, Some(i * 2));
-            }
-        }
+        let expect: Vec<usize> = items.iter().filter(|&&x| x != 3).map(|x| x * 2).collect();
+        assert_eq!(report.results, expect);
+        assert_eq!(report.per_item_micros.len(), 19);
     }
 
     #[test]
-    fn run_isolated_failure_accounting_is_jobs_invariant() {
+    fn retry_accounting_is_jobs_invariant() {
         quiet_injected_panics();
         let items: Vec<usize> = (0..50).collect();
-        let work = |_: &mut WorkerScratch, _: usize, &x: &usize, attempt: u32| {
-            // Sticky failures on multiples of 7, transient on multiples
-            // of 5 — pure functions of the item, so scheduling can't
-            // change which items fail or retry.
-            if x % 7 == 0 || (x % 5 == 0 && attempt == 0) {
+        // Sticky failures on multiples of 7, transient on multiples of 5
+        // — pure functions of the item, so scheduling can't change which
+        // items fail or retry.
+        let hook = |x: usize, attempt: u32| {
+            if x.is_multiple_of(7) || (x.is_multiple_of(5) && attempt == 0) {
                 panic!("injected ({x}, {attempt})");
             }
-            x
         };
-        let base = BatchJob::new(&items).jobs(1).run_isolated(2, work);
+        let run = |jobs| {
+            BatchJob::new(&items)
+                .jobs(jobs)
+                .retries(2)
+                .before_attempt(&hook)
+                .run(|_, _, &x| x)
+        };
+        let base = run(1);
         assert!(!base.failed.is_empty());
         assert!(base.retried > 0);
         for jobs in [3, 8] {
-            let r = BatchJob::new(&items).jobs(jobs).run_isolated(2, work);
+            let r = run(jobs);
             assert_eq!(r.results, base.results, "jobs={jobs}");
             assert_eq!(r.failed, base.failed, "jobs={jobs}");
             assert_eq!(r.retried, base.retried, "jobs={jobs}");
@@ -1669,37 +1233,22 @@ mod tests {
     }
 
     #[test]
-    fn run_isolated_replaces_scratch_after_a_panic() {
+    fn a_retry_runs_on_a_fresh_scratch() {
         quiet_injected_panics();
-        let items: Vec<usize> = vec![0, 1];
-        // Item 0 poisons the scratch then panics with no retry budget;
-        // item 1 (same worker, jobs=1) must see a fresh scratch.
-        let report = BatchJob::new(&items)
-            .jobs(1)
-            .run_isolated(0, |scratch, _, &x, _| {
-                if x == 0 {
-                    scratch.pair_buf.reserve(1 << 16);
-                    panic!("injected poison");
-                }
-                scratch.pair_buf.capacity()
-            });
+        let items: Vec<usize> = vec![0];
+        // Attempt 0 poisons the scratch then panics; attempt 1 must see
+        // a fresh one.
+        let report = BatchJob::new(&items).retries(1).run(|scratch, _, _| {
+            if scratch.pair_buf.capacity() == 0 {
+                scratch.pair_buf.reserve(1 << 16);
+                panic!("injected poison");
+            }
+            scratch.pair_buf.capacity()
+        });
+        // Every attempt poisons, so both fail; but neither saw the
+        // other's allocation.
         assert_eq!(report.failed.len(), 1);
-        assert!(report.results[1].unwrap() < (1 << 16));
-    }
-
-    #[test]
-    fn run_isolated_without_panics_matches_run() {
-        let items: Vec<usize> = (0..10).collect();
-        let plain = BatchJob::new(&items).jobs(2).run(|_, _, &x| x + 1);
-        let isolated = BatchJob::new(&items)
-            .jobs(2)
-            .run_isolated(1, |_, _, &x, _| x + 1);
-        assert_eq!(
-            isolated.results,
-            plain.results.iter().map(|&r| Some(r)).collect::<Vec<_>>()
-        );
-        assert!(isolated.failed.is_empty());
-        assert_eq!(isolated.retried, 0);
+        assert_eq!(report.failed[0].attempts, 2);
     }
 
     #[test]
@@ -1759,51 +1308,6 @@ mod tests {
     }
 
     #[test]
-    fn run_sharded_reraises_the_lowest_chunk_panic() {
-        quiet_injected_panics();
-        // Chunks 5 and 2 panic; all workers must drain (no abort), and
-        // the caller sees exactly chunk 2's payload — deterministic and
-        // catchable, so an enclosing per-item catch_unwind contains it.
-        let caught = std::panic::catch_unwind(|| {
-            run_sharded::<usize, ()>(8, 4, |_, c| {
-                if c == 5 || c == 2 {
-                    panic!("injected shard failure {c}");
-                }
-                c * 2
-            })
-        });
-        let payload = caught.expect_err("a shard panic must propagate");
-        assert_eq!(panic_message(payload.as_ref()), "injected shard failure 2");
-        // Without failures every chunk lands in order.
-        let ok = run_sharded::<usize, ()>(8, 4, |_, c| c * 2);
-        assert_eq!(ok, vec![0, 2, 4, 6, 8, 10, 12, 14]);
-    }
-
-    #[test]
-    fn par_build_panic_is_catchable_not_process_fatal() {
-        use std::sync::atomic::AtomicU32;
-        // Drive the real `par_build` worker fan-out (via run_sharded)
-        // over enough pairs to clear PAR_BUILD_MIN_PAIRS, with a shard_fn
-        // stand-in that panics once: the panic must arrive on the calling
-        // thread as a normal unwinding panic (containable by the serve
-        // layer), not a worker-join abort.
-        let calls = AtomicU32::new(0);
-        let caught = std::panic::catch_unwind(|| {
-            run_sharded::<u32, ()>(16, 4, |_, c| {
-                calls.fetch_add(1, Ordering::Relaxed);
-                if c == 0 {
-                    panic!("injected NaN sentiments stand-in");
-                }
-                c as u32
-            })
-        });
-        assert!(caught.is_err());
-        // Every chunk was still attempted: one poisoned chunk does not
-        // starve the others.
-        assert_eq!(calls.load(Ordering::Relaxed), 16);
-    }
-
-    #[test]
     fn failure_attempts_match_actual_executions() {
         use std::sync::atomic::AtomicU32;
         quiet_injected_panics();
@@ -1819,17 +1323,19 @@ mod tests {
         };
         for jobs in [1usize, 4] {
             let execs: Vec<AtomicU32> = (0..items.len()).map(|_| AtomicU32::new(0)).collect();
+            let hook = |i: usize, attempt: u32| {
+                execs[i].fetch_add(1, Ordering::Relaxed);
+                if let Fault::Panic { failing_attempts } = plan.fault_for(i) {
+                    if attempt < failing_attempts {
+                        panic!("injected panic ({i}, {attempt})");
+                    }
+                }
+            };
             let report = BatchJob::new(&items)
                 .jobs(jobs)
-                .run_isolated(2, |_, i, &x, attempt| {
-                    execs[i].fetch_add(1, Ordering::Relaxed);
-                    if let Fault::Panic { failing_attempts } = plan.fault_for(x) {
-                        if attempt < failing_attempts {
-                            panic!("injected panic ({x}, {attempt})");
-                        }
-                    }
-                    x
-                });
+                .retries(2)
+                .before_attempt(&hook)
+                .run(|_, _, &x| x);
             assert!(
                 !report.failed.is_empty(),
                 "seed must produce sticky failures"

@@ -40,8 +40,9 @@ use osars::baselines::{
     LexRank, LsaSummarizer, MostPopular, Proportional, SentenceRecord, SentenceSelector, TextRank,
 };
 use osars::core::{
-    explain, CoverageGraph, Granularity, GraphImpl, GreedySummarizer, IlpSummarizer,
-    LazyGreedySummarizer, LocalSearchSummarizer, Pair, RandomizedRounding, Summarizer,
+    explain, Candidates, CoverageGraph, Granularity, GraphBuildScratch, GraphImpl,
+    GreedySummarizer, IlpSummarizer, LazyGreedySummarizer, LocalSearchSummarizer, Pair,
+    RandomizedRounding, Summarizer,
 };
 use osars::datasets::{
     load_corpus, save_corpus, table1_stats, Corpus, CorpusConfig, ExtractImpl, ExtractedItem,
@@ -51,8 +52,7 @@ use osars::eval::{sent_err, sent_err_penalized};
 use osars::obs::{JsonlSink, Sink, StderrSink, TeeSink};
 use osars::ontology::AncestorImpl;
 use osars::runtime::{
-    par_for_groups_ancestor, par_for_pairs_ancestor, summarize_corpus, summarize_corpus_traced,
-    BatchAlgorithm, BatchJob, BatchOptions,
+    summarize_corpus, summarize_corpus_traced, BatchAlgorithm, BatchJob, BatchOptions,
 };
 use osars::text::ExtractScratch;
 
@@ -151,11 +151,10 @@ FOCUS:    restricts the summary to one concept's subtree
           (e.g. --focus battery on a phone corpus)
 JOBS:     --item all batches every item over N worker threads (0 = all
           cores); results are byte-identical for any N — timing stats go
-          to stderr
+          to stderr; a single --item runs on one thread (--jobs 1 only)
 GRAPH:    --graph-impl selects the Section 4.1 coverage-graph builder:
-          'indexed' (ancestor-closure index + sorted sentiment windows,
-          parallel over --jobs) or 'naive' (the slow oracle); both yield
-          byte-identical output
+          'indexed' (ancestor-closure index + sorted sentiment windows)
+          or 'naive' (the slow oracle); both yield byte-identical output
 CHECK:    seeded differential-testing harness: generates --cases
           scenarios from --seed, runs each across every graph/extract
           impl, --jobs 1|3|8, and all four summarizers, and asserts the
@@ -663,6 +662,9 @@ fn cmd_summarize(flags: &HashMap<String, String>) -> Result<(), String> {
     if item_flag == "all" {
         return cmd_summarize_batch(&corpus, flags);
     }
+    if parse_num(flags, "jobs", 1usize)? != 1 {
+        return Err("--jobs is only supported with --item all".to_owned());
+    }
     let item: usize = parse_num(flags, "item", 0)?;
     let k: usize = parse_num(flags, "k", 5)?;
     let eps = parse_eps(flags)?;
@@ -688,8 +690,9 @@ fn cmd_summarize(flags: &HashMap<String, String>) -> Result<(), String> {
     // --focus CONCEPT: restrict to the concept's sub-hierarchy. Pairs on
     // concepts outside the subtree are dropped; remaining concepts are
     // remapped into the extracted subgraph by name.
+    let focused;
     let hierarchy = match flag(flags, "focus") {
-        None => corpus.hierarchy.clone(),
+        None => &corpus.hierarchy,
         Some(name) => {
             let node = corpus
                 .hierarchy
@@ -715,54 +718,28 @@ fn cmd_summarize(flags: &HashMap<String, String>) -> Result<(), String> {
                 "focused on '{name}': {} pairs in the subtree",
                 ex.pairs.len()
             );
-            sub
+            focused = sub;
+            &focused
         }
     };
 
     let gran = parse_granularity(granularity)?;
     let graph_impl = parse_graph_impl(flags)?;
     let ancestor = parse_ancestor_impl(flags)?;
-    let jobs: usize = parse_num(flags, "jobs", 1)?;
     let graph_span = trace.as_ref().map(|t| t.span("graph.build"));
-    let (graph, _) = obs.time("graph.build", || match (graph_impl, gran) {
-        (GraphImpl::Indexed, Granularity::Pairs) => {
-            par_for_pairs_ancestor(&hierarchy, &ex.pairs, eps, ancestor, jobs)
-        }
-        (GraphImpl::Indexed, Granularity::Sentences) => par_for_groups_ancestor(
-            &hierarchy,
-            &ex.pairs,
-            &ex.sentence_groups(),
-            eps,
-            Granularity::Sentences,
-            ancestor,
-            jobs,
-        ),
-        (GraphImpl::Indexed, Granularity::Reviews) => par_for_groups_ancestor(
-            &hierarchy,
-            &ex.pairs,
-            &ex.review_groups(),
-            eps,
-            Granularity::Reviews,
-            ancestor,
-            jobs,
-        ),
-        (GraphImpl::Naive, Granularity::Pairs) => {
-            CoverageGraph::for_pairs_naive(&hierarchy, &ex.pairs, eps)
-        }
-        (GraphImpl::Naive, Granularity::Sentences) => CoverageGraph::for_groups_naive(
-            &hierarchy,
-            &ex.pairs,
-            &ex.sentence_groups(),
-            eps,
-            Granularity::Sentences,
-        ),
-        (GraphImpl::Naive, Granularity::Reviews) => CoverageGraph::for_groups_naive(
-            &hierarchy,
-            &ex.pairs,
-            &ex.review_groups(),
-            eps,
-            Granularity::Reviews,
-        ),
+    let (graph, _) = obs.time("graph.build", || {
+        let groups = match gran {
+            Granularity::Pairs => None,
+            Granularity::Sentences => Some(ex.sentence_groups()),
+            Granularity::Reviews => Some(ex.review_groups()),
+        };
+        let candidates = groups
+            .as_deref()
+            .map_or(Candidates::Pairs, |g| Candidates::Groups(g, gran));
+        let scratch = &mut GraphBuildScratch::new();
+        CoverageGraph::build(
+            hierarchy, &ex.pairs, candidates, eps, graph_impl, ancestor, scratch,
+        )
     });
     drop(graph_span);
     let (summary, micros) = {

@@ -687,6 +687,90 @@ fn counter_totals_are_jobs_invariant_via_cli() {
 }
 
 #[test]
+fn closure_entries_report_the_index_size_once() {
+    // `graph.closure.entries` is the ancestor index's size, published
+    // once when the index is built, so a multi-item batch reports the
+    // size itself rather than a multiple of it.
+    let corpus =
+        osars::datasets::Corpus::phones(&osars::datasets::CorpusConfig::phones_small(), 42);
+    assert!(corpus.items.len() > 1);
+    let h = &corpus.hierarchy;
+    for (ancestor, entries) in [
+        ("dense", h.ancestor_index().entry_count()),
+        ("segmented", h.segment_index().entry_weight()),
+    ] {
+        let path = tmp_corpus(&format!("closure_{ancestor}.jsonl"));
+        let out = osars(&[
+            "summarize",
+            "--domain",
+            "phones",
+            "--scale",
+            "small",
+            "--item",
+            "all",
+            "--jobs",
+            "2",
+            "--ancestor-impl",
+            ancestor,
+            "--metrics",
+            path.to_str().unwrap(),
+        ]);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let jsonl = std::fs::read_to_string(&path).unwrap();
+        let reported: Vec<&str> = jsonl
+            .lines()
+            .filter(|l| l.contains("\"name\":\"graph.closure.entries\""))
+            .collect();
+        assert_eq!(reported.len(), 1, "{ancestor}: {reported:?}");
+        assert!(
+            reported[0].contains(&format!("\"value\":{entries}}}")),
+            "{ancestor}: want {entries}, got {}",
+            reported[0]
+        );
+    }
+}
+
+#[test]
+fn single_item_summarize_rejects_jobs() {
+    // A single item runs on one thread; --jobs only parallelizes
+    // --item all, and saying otherwise must fail loudly.
+    for jobs in ["0", "4"] {
+        let out = osars(&[
+            "summarize",
+            "--domain",
+            "phones",
+            "--scale",
+            "small",
+            "--item",
+            "0",
+            "--jobs",
+            jobs,
+        ]);
+        assert!(!out.status.success(), "--jobs {jobs} was accepted");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("--item all"), "{err}");
+    }
+    let out = osars(&[
+        "summarize",
+        "--domain",
+        "phones",
+        "--scale",
+        "small",
+        "--jobs",
+        "1",
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+#[test]
 fn trace_is_a_bare_switch() {
     // `--trace` takes no value: flags after it must still parse.
     let out = osars(&[

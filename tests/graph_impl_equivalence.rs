@@ -1,12 +1,28 @@
-//! Property tests: the indexed (and sharded-parallel) §4.1 builders are
-//! *identical* — not just cost-equivalent — to the naive oracle builder
-//! on random multi-parent DAGs, and raw vs compressed-weighted instances
-//! agree on cost even with signed-zero / NaN-sanitized sentiments.
+//! Property tests: [`CoverageGraph::build`] with the indexed §4.1
+//! builder (over either ancestor index) is *identical* — not just
+//! cost-equivalent — to the naive oracle builder on random multi-parent
+//! DAGs, and raw vs compressed-weighted instances agree on cost even
+//! with signed-zero / NaN-sanitized sentiments.
 
-use osars::core::{compress_pairs, CoverageGraph, Granularity, Pair};
-use osars::ontology::{Hierarchy, HierarchyBuilder, NodeId};
-use osars::runtime::{par_for_groups, par_for_pairs, par_for_weighted_pairs};
+use osars::core::{
+    compress_pairs, Candidates, CoverageGraph, Granularity, GraphBuildScratch, GraphImpl, Pair,
+};
+use osars::ontology::{AncestorImpl, Hierarchy, HierarchyBuilder, NodeId};
 use proptest::prelude::*;
+
+/// The naive oracle build, then the indexed build over each ancestor
+/// index, all through [`CoverageGraph::build`].
+fn builds(h: &Hierarchy, pairs: &[Pair], cands: Candidates<'_>, eps: f64) -> Vec<CoverageGraph> {
+    let mut scratch = GraphBuildScratch::new();
+    [
+        (GraphImpl::Naive, AncestorImpl::Dense),
+        (GraphImpl::Indexed, AncestorImpl::Dense),
+        (GraphImpl::Indexed, AncestorImpl::Segmented),
+    ]
+    .into_iter()
+    .map(|(imp, anc)| CoverageGraph::build(h, pairs, cands, eps, imp, anc, &mut scratch))
+    .collect()
+}
 
 /// Random rooted DAG: node i > 0 gets a parent among nodes 0..i, plus an
 /// optional second parent (multi-parent closures are the hard case for
@@ -60,22 +76,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn indexed_and_parallel_pairs_graphs_equal_naive(
+    fn indexed_pairs_graphs_equal_naive(
         (h, pairs, eps) in arb_hierarchy(14).prop_flat_map(|h| {
             let pairs = arb_pairs(&h, 24);
             (Just(h), pairs, (0u8..=10).prop_map(|e| f64::from(e) / 10.0))
         })
     ) {
-        let naive = CoverageGraph::for_pairs_naive(&h, &pairs, eps);
-        prop_assert_eq!(&CoverageGraph::for_pairs(&h, &pairs, eps), &naive);
-        // jobs=3 exercises uneven chunking (the small instance stays
-        // sequential inside par_build, which is itself part of the
-        // contract: the threshold must not change the result).
-        prop_assert_eq!(&par_for_pairs(&h, &pairs, eps, 3), &naive);
+        let graphs = builds(&h, &pairs, Candidates::Pairs, eps);
+        for g in &graphs[1..] {
+            prop_assert_eq!(g, &graphs[0]);
+        }
+        prop_assert_eq!(&CoverageGraph::for_pairs(&h, &pairs, eps), &graphs[0]);
     }
 
     #[test]
-    fn indexed_and_parallel_group_graphs_equal_naive(
+    fn indexed_group_graphs_equal_naive(
         (h, pairs) in arb_hierarchy(12).prop_flat_map(|h| {
             let pairs = arb_pairs(&h, 18);
             (Just(h), pairs)
@@ -88,12 +103,14 @@ proptest! {
             .map(<[usize]>::to_vec)
             .collect();
         for gran in [Granularity::Sentences, Granularity::Reviews] {
-            let naive = CoverageGraph::for_groups_naive(&h, &pairs, &groups, eps, gran);
+            let graphs = builds(&h, &pairs, Candidates::Groups(&groups, gran), eps);
+            for g in &graphs[1..] {
+                prop_assert_eq!(g, &graphs[0]);
+            }
             prop_assert_eq!(
                 &CoverageGraph::for_groups(&h, &pairs, &groups, eps, gran),
-                &naive
+                &graphs[0]
             );
-            prop_assert_eq!(&par_for_groups(&h, &pairs, &groups, eps, gran, 3), &naive);
         }
     }
 
@@ -106,12 +123,15 @@ proptest! {
     ) {
         let eps = 0.5;
         let (unique, weights) = compress_pairs(&pairs);
-        let naive = CoverageGraph::for_weighted_pairs_naive(&h, &unique, &weights, eps);
+        let graphs = builds(&h, &unique, Candidates::WeightedPairs(&weights), eps);
+        for g in &graphs[1..] {
+            prop_assert_eq!(g, &graphs[0]);
+        }
+        let naive = &graphs[0];
         prop_assert_eq!(
             &CoverageGraph::for_weighted_pairs(&h, &unique, &weights, eps),
-            &naive
+            naive
         );
-        prop_assert_eq!(&par_for_weighted_pairs(&h, &unique, &weights, eps, 3), &naive);
 
         // Raw-vs-weighted cost agreement: any selection of distinct pairs
         // costs the same as selecting all their duplicates in the raw

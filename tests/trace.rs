@@ -5,9 +5,10 @@
 
 use std::collections::BTreeMap;
 
-use osars::datasets::{Corpus, CorpusConfig};
-use osars::obs::TraceTree;
-use osars::runtime::{summarize_corpus_traced, BatchAlgorithm, BatchOptions};
+use osars::datasets::{Corpus, CorpusConfig, Extractor};
+use osars::obs::{Trace, TraceTree};
+use osars::runtime::incremental::ItemArtifacts;
+use osars::runtime::{summarize_corpus_traced, BatchAlgorithm, BatchOptions, WorkerScratch};
 
 /// A deliberately tiny phone corpus: these tests assert tree *shape*,
 /// not solve quality, and the ILP pass must stay cheap in debug builds.
@@ -128,6 +129,40 @@ fn trace_shape_and_counters_are_jobs_invariant() {
             shape(b),
             "item {item}: span shape or counters differ between --jobs 1 and 8"
         );
+    }
+}
+
+#[test]
+fn artifact_traces_have_the_batch_shape() {
+    // The batch path and the artifact path run one pipeline body, so a
+    // request answered from cached artifacts must trace exactly like the
+    // same item in a traced batch — including the warm-started lazy
+    // greedy over a cached graph.
+    let corpus = phones_tiny();
+    let extractor = Extractor::from_hierarchy(&corpus.hierarchy);
+    let mut scratch = WorkerScratch::new();
+    for algorithm in [BatchAlgorithm::Greedy, BatchAlgorithm::LazyGreedy] {
+        let opts = BatchOptions {
+            algorithm,
+            ..BatchOptions::default()
+        };
+        let batch = traced(&corpus, algorithm, 2);
+        for (idx, item) in corpus.items.iter().enumerate() {
+            let art =
+                ItemArtifacts::build(&corpus.hierarchy, &extractor, &opts, item, &mut scratch);
+            assert!(art.has_graph_for(&opts));
+            let trace = Trace::new(idx as u64);
+            {
+                let _root = trace.span("summarize_one");
+                let h = &corpus.hierarchy;
+                art.summarize(h, &opts, idx, item, &mut scratch, Some(&trace));
+            }
+            assert_eq!(
+                shape(&trace.tree()),
+                shape(&batch[idx]),
+                "{algorithm:?} item {idx}: artifact trace differs from the batch trace"
+            );
+        }
     }
 }
 
